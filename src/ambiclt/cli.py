@@ -23,7 +23,7 @@ import json
 import math
 import sys
 
-from . import __version__, config
+from . import __version__
 from .closed_form import (
     BadInterval,
     BadTime,
@@ -419,7 +419,6 @@ def _add_common(sub, *, seeded=False):
     sub.add_argument("--config", help="INI config file; flags override its values")
     sub.add_argument("--output", help="write the report here instead of stdout")
     sub.add_argument("--format", choices=["json", "csv"], default="json")
-    sub.add_argument("--threads", type=int, default=1, help="worker cap for sweeps")
     sub.add_argument("--timing", action="store_true",
                      help="include wall-clock columns (breaks byte-reproducibility)")
     if seeded:
@@ -559,8 +558,6 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        if getattr(args, "threads", 1) and args.threads > 1:
-            config.set_max_workers(args.threads)
         return args.handler(args)
     except ConfigError as exc:
         print(_error_record(exc), file=sys.stderr)

@@ -180,7 +180,9 @@ def optimize_ab(spec: TestSpec, xi: float) -> tuple[float, float, float]:
     _, best_b = calibrate_interval(spec, symmetric=False, a=best_a)
     best_val = wrong_acceptance(spec, best_a, best_b, xi)
     # the coverage constraint must bind at the returned point
-    assert abs(_coverage(kappa, best_a, best_b) - target) <= CALIBRATION_TOL
+    resid = abs(_coverage(kappa, best_a, best_b) - target)
+    if resid > CALIBRATION_TOL:
+        raise NoConvergence(f"coverage residual {resid:.3g} at the optimum exceeds tolerance")
     return best_a, best_b, best_val
 
 

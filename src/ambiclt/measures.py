@@ -21,8 +21,6 @@ from typing import Union
 
 from ._exact import Numeric, sqrt_exact, to_fraction
 
-PROB_SUM_TOL = Fraction(1, 10**12)
-
 
 class MeasureError(ValueError):
     """Base class for invalid ambiguity-model inputs."""
@@ -60,7 +58,7 @@ class DiscreteMeasure:
             raise MeasureError("values and probs must have equal, nonzero length")
         if any(p < 0 for p in probs):
             raise MeasureError("probabilities must be nonnegative")
-        if abs(sum(probs) - 1) > PROB_SUM_TOL:
+        if sum(probs) != 1:
             raise MeasureError(f"probabilities sum to {float(sum(probs))!r}, not 1")
 
     def mean(self) -> Fraction:

@@ -20,14 +20,12 @@ consistent with terminal data that flatten at infinity.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
-from . import config
 from .measures import AmbiguityInterval
 from .terminal import TerminalFunction
 
@@ -246,16 +244,8 @@ def epsilon_extrapolate(
     if any(b >= a for a, b in zip(eps, eps[1:])) or eps[-1] < 0:
         raise ValueError("eps_sequence must be strictly decreasing and nonnegative")
 
-    def solve_one(e: float) -> float:
-        return solve_g_expectation(phi, GeneratorSpec(kappa, e), grid, x0)
-
-    workers = config.max_workers()
-    if workers > 1 and len(eps) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(solve_one, eps))
-    else:
-        values = [solve_one(e) for e in eps]
-    if len(eps) == 1 or eps[-1] == eps[-2]:
+    values = [solve_g_expectation(phi, GeneratorSpec(kappa, e), grid, x0) for e in eps]
+    if len(eps) == 1:
         extrapolated = values[-1]
     else:
         e1, e2 = eps[-2], eps[-1]

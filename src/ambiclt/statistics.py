@@ -11,6 +11,11 @@ with boundary ties going to the upper mean in both.  The threshold at step m
 is -((mu_upper+mu_lower)/2)*(1-(m-1)/n) + c for a center parameter c; the
 sentinels c = +/-inf freeze the rule at a constant mean.
 
+Every route that evaluates a statistic -- this fold, the worst-case dynamic
+program, its enumeration oracle, the product model and Monte Carlo -- takes
+its step from :data:`INCREMENTS` and, for the switching statistics, its
+centering mean from :meth:`SwitchRule.mean`.
+
 Both float and exact-rational evaluation are supported.  In exact mode the
 statistic is carried as u + w/sqrt(n*sigma^2) with rational u, w
 (:class:`ambiclt._exact.ExactValue`), so threshold comparisons and terminal
@@ -24,9 +29,11 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
-from ._exact import ExactValue, to_fraction
+import numpy as np
+
+from ._exact import ExactValue, Rational, to_fraction
 from .measures import AmbiguityInterval, MeasureSet
 
 VARIANT_M = "M"
@@ -52,6 +59,9 @@ class SwitchRule:
     def mean_pair(self) -> tuple[float, float]:
         return float(self.interval.mu_lower), float(self.interval.mu_upper)
 
+    def exact_mean_pair(self) -> tuple[Fraction, Fraction]:
+        return to_fraction(self.interval.mu_lower), to_fraction(self.interval.mu_upper)
+
     def threshold(self, m: int, n: int) -> float:
         """Threshold compared against M_{m-1} when choosing mu_m."""
         if math.isinf(self.center):
@@ -59,9 +69,102 @@ class SwitchRule:
         mid = self.interval.center
         return -mid * (1.0 - (m - 1) / n) + float(self.center)
 
-    def threshold_exact(self, m: int, n: int) -> Fraction:
-        mid = (to_fraction(self.interval.mu_lower) + to_fraction(self.interval.mu_upper)) / 2
-        return -mid * (1 - Fraction(m - 1, n)) + to_fraction(self.center)
+    def threshold_exact(self, m: int, n: int) -> Fraction | float:
+        """The threshold as a Fraction; the sentinel centers return +/-inf."""
+        if math.isinf(self.center):
+            return self.center
+        lo, hi = self.exact_mean_pair()
+        return -(lo + hi) / 2 * (1 - Fraction(m - 1, n)) + to_fraction(self.center)
+
+    def upper(self, M, threshold, tilde: bool = False):
+        """Whether mu_m is the upper mean, given M_{m-1} and the step's
+        threshold: M <= threshold under the M-rule, M >= threshold under the
+        M-tilde rule, so ties go to the upper mean in both.
+
+        ``M`` may be a float, a numpy array (the answer is then a boolean
+        array) or an :class:`ExactValue` compared against
+        :meth:`threshold_exact`.
+        """
+        if isinstance(M, ExactValue):
+            if math.isinf(self.center):
+                sign = -1 if self.center > 0 else 1  # sign of M - threshold
+            else:
+                sign = M.cmp(threshold)
+            return sign >= 0 if tilde else sign <= 0
+        return M >= threshold if tilde else M <= threshold
+
+    def mean(self, M, threshold, tilde: bool = False):
+        """mu_m, in the arithmetic of ``M``: a Fraction for an ExactValue, a
+        float for a float, an array for an array."""
+        hit = self.upper(M, threshold, tilde)
+        lo, hi = self.exact_mean_pair() if isinstance(M, ExactValue) else self.mean_pair()
+        return np.where(hit, hi, lo) if isinstance(hit, np.ndarray) else (hi if hit else lo)
+
+
+LAW_MEAN = "law"
+
+
+class Increment(NamedTuple):
+    """One step of a statistic over a horizon n for an outcome x:
+
+        drift * x/n + noise * (x - center)/sqrt(n*sigma^2),
+
+    where ``centering`` names the center: LAW_MEAN (the chosen law's own
+    mean), VARIANT_M or VARIANT_TILDE (the switching rule's mean), or None
+    (no centering; the noise weight is then 0).
+    """
+
+    drift: Rational
+    noise: Rational
+    centering: str | None
+
+    @property
+    def switching(self) -> bool:
+        return self.centering in _VARIANTS
+
+    @property
+    def tilde(self) -> bool:
+        return self.centering == VARIANT_TILDE
+
+    def law_centers(self, means: Sequence) -> list:
+        """Per-law centers of a non-switching step: each law's own mean, or 0."""
+        if self.centering == LAW_MEAN:
+            return list(means)
+        return [Fraction(0)] * len(means)
+
+    def exact(self, x: Fraction, center: Fraction, n: int) -> tuple[Fraction, Fraction]:
+        """The step as exact coefficients (du, dw) of u + w/sqrt(n*sigma^2)."""
+        return self.drift * x / n, self.noise * (x - center)
+
+    def advance(self, M, x, center, n: int, sigma: float):
+        """M plus the step in float arithmetic; M, x and center may be arrays."""
+        M = M + float(self.drift) * x / n
+        if self.centering is None:
+            return M
+        return M + float(self.noise) * (x - center) / (sigma * math.sqrt(n))
+
+
+# The statistic of each worst-case variant, defined once for every route.
+# "scaled" takes its weights from the caller (see :func:`increment`).
+INCREMENTS = {
+    "clt": Increment(1, 1, LAW_MEAN),
+    "scaled": Increment(None, None, LAW_MEAN),
+    "deviation": Increment(0, 1, LAW_MEAN),
+    "special": Increment(1, 1, VARIANT_M),
+    "tilde": Increment(1, 1, VARIANT_TILDE),
+    "lln": Increment(1, 0, None),
+}
+_FOLD_INCREMENT = {VARIANT_M: INCREMENTS["special"], VARIANT_TILDE: INCREMENTS["tilde"]}
+
+
+def increment(variant: str, alpha=1, beta=1) -> Increment:
+    """The variant's row of :data:`INCREMENTS`, with (alpha, beta) as the
+    weights of the "scaled" variant."""
+    if variant not in INCREMENTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if variant == "scaled":
+        return INCREMENTS[variant]._replace(drift=to_fraction(beta), noise=to_fraction(alpha))
+    return INCREMENTS[variant]
 
 
 @dataclass(frozen=True)
@@ -101,20 +204,14 @@ def initial_state_exact(n: int, interval: AmbiguityInterval, variant: str = VARI
     return StatState(0, n, ExactValue.zero(scale), variant)
 
 
-def _select_mean(state: StatState, rule: SwitchRule, tilde: bool):
+def _center(state: StatState, rule: SwitchRule):
+    """mu_{m+1} for the state's variant, in the state's arithmetic."""
     m_next = state.m + 1
     if state.exact:
-        lo, hi = to_fraction(rule.interval.mu_lower), to_fraction(rule.interval.mu_upper)
-        if math.isinf(rule.center):
-            at_upper = (rule.center > 0) != tilde  # +inf: M-rule upper, tilde lower
-            return hi if at_upper else lo
-        cmp = state.M.cmp(rule.threshold_exact(m_next, state.n))
-        hit = cmp >= 0 if tilde else cmp <= 0
-        return hi if hit else lo
-    lo, hi = rule.mean_pair()
-    thr = rule.threshold(m_next, state.n)
-    hit = state.M >= thr if tilde else state.M <= thr
-    return hi if hit else lo
+        threshold = rule.threshold_exact(m_next, state.n)
+    else:
+        threshold = rule.threshold(m_next, state.n)
+    return rule.mean(state.M, threshold, tilde=state.variant == VARIANT_TILDE)
 
 
 def step_mu(state: StatState, rule: SwitchRule):
@@ -123,7 +220,7 @@ def step_mu(state: StatState, rule: SwitchRule):
         raise ValueError("step_mu applies to the M variant")
     if state.m >= state.n:
         raise HorizonExceeded("no step left to choose a mean for")
-    return _select_mean(state, rule, tilde=False)
+    return _center(state, rule)
 
 
 def step_mu_tilde(state: StatState, rule: SwitchRule):
@@ -132,23 +229,26 @@ def step_mu_tilde(state: StatState, rule: SwitchRule):
         raise ValueError("step_mu_tilde applies to the M-tilde variant")
     if state.m >= state.n:
         raise HorizonExceeded("no step left to choose a mean for")
-    return _select_mean(state, rule, tilde=True)
+    return _center(state, rule)
+
+
+def _advance(state: StatState, x, rule: SwitchRule):
+    """(mu_{m+1}, the state after observing x)."""
+    if state.m >= state.n:
+        raise HorizonExceeded(f"horizon n={state.n} already reached")
+    mu = _center(state, rule)
+    inc = _FOLD_INCREMENT[state.variant]
+    n = state.n
+    if state.exact:
+        new = state.M.shift(*inc.exact(to_fraction(x), mu, n))
+    else:
+        new = inc.advance(state.M, float(x), mu, n, float(rule.interval.sigma))
+    return mu, StatState(state.m + 1, n, new, state.variant)
 
 
 def update_statistic(state: StatState, x, rule: SwitchRule) -> StatState:
     """Advance one observation: M += x/n + (x - mu)/(sigma*sqrt(n))."""
-    if state.m >= state.n:
-        raise HorizonExceeded(f"horizon n={state.n} already reached")
-    tilde = state.variant == VARIANT_TILDE
-    mu = _select_mean(state, rule, tilde)
-    n = state.n
-    if state.exact:
-        xf = to_fraction(x)
-        new = state.M.shift(Fraction(xf, n), xf - mu)
-    else:
-        sigma = float(rule.interval.sigma)
-        new = state.M + float(x) / n + (float(x) - mu) / (sigma * math.sqrt(n))
-    return StatState(state.m + 1, n, new, state.variant)
+    return _advance(state, x, rule)[1]
 
 
 def path_statistic(
@@ -172,9 +272,7 @@ def statistic_trace(
     state = initial_state(n, variant)
     rows = []
     for x in xs:
-        tilde = variant == VARIANT_TILDE
-        mu = _select_mean(state, rule, tilde)
-        state = update_statistic(state, x, rule)
+        mu, state = _advance(state, x, rule)
         rows.append((state.m, float(mu), state.value()))
     return rows
 

@@ -7,14 +7,11 @@ recursive: with V_n(s) = phi(s),
     V_{m-1}(s) = max_{q in L} sum_w q(w) V_m(s + increment(w, q)),
 
 and the supremum over the whole rectangular set is V_0(0).  (Infima replace
-max by min.)  The statistic variants differ only in the increment:
-
-    clt        x/n + (x - mean_q)/(sigma*sqrt(n))
-    scaled     beta*x/n + alpha*(x - mean_q)/(sigma*sqrt(n))
-    deviation  (x - mean_q)/(sigma*sqrt(n))
-    special    x/n + (x - mu_m)/(sigma*sqrt(n)),   mu_m from the M-rule
-    tilde      same with the M-tilde rule (used for infima)
-    lln        x/n
+max by min.)  The statistic variants differ only in the increment, which
+:data:`ambiclt.statistics.INCREMENTS` defines once for every route here: a
+weight on x/n, a weight on (x - center)/(sigma*sqrt(n)), and the center --
+the chosen law's mean (clt, scaled, deviation), the M-rule or M-tilde-rule
+mean of :class:`SwitchRule` (special, tilde), or none (lln).
 
 States are held exactly as pairs (u, w) meaning u + w/sqrt(n*sigma^2) with
 rational coefficients, so two paths reaching the same value share one node —
@@ -37,13 +34,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._exact import ExactValue, sign_affine, sqrt_exact, to_fraction
+from ._exact import ExactValue, sqrt_exact, to_fraction
 from .measures import MeasureSet, validate_measure_set
-from .statistics import SwitchRule
+from .statistics import INCREMENTS, SwitchRule, increment
 from .terminal import TerminalFunction
 
-VARIANTS = ("clt", "scaled", "deviation", "special", "tilde", "lln")
-_SCALED_FAMILY = ("clt", "scaled", "deviation")
+VARIANTS = tuple(INCREMENTS)
 
 DEFAULT_N_CAP = {
     "clt": 60,
@@ -92,7 +88,6 @@ class _Model:
     mu_lo: Fraction
     mu_hi: Fraction
     sigma_sq: Fraction
-    sigma: float
 
 
 def _prepare(L: MeasureSet) -> _Model:
@@ -104,7 +99,6 @@ def _prepare(L: MeasureSet) -> _Model:
         mu_lo=to_fraction(iv.mu_lower),
         mu_hi=to_fraction(iv.mu_upper),
         sigma_sq=iv.variance_exact(),
-        sigma=float(iv.sigma),
     )
 
 
@@ -114,24 +108,17 @@ def _canonical(u: Fraction, w: Fraction, root: Fraction | None):
     return (u, w)
 
 
-def _mu_selector(model: _Model, rule: SwitchRule, n: int, tilde: bool):
-    """Exact chooser of the centering mean at step m from state (u, w)."""
-    lo, hi = model.mu_lo, model.mu_hi
-    c = rule.center
-    s = Fraction(n) * model.sigma_sq
-    if math.isinf(c):
-        const = hi if ((c > 0) != tilde) else lo
-        return lambda m, u, w: const
-    c_frac = to_fraction(c)
-    mid = (lo + hi) / 2
-
-    def select(m: int, u: Fraction, w: Fraction) -> Fraction:
-        thr = -mid * (1 - Fraction(m - 1, n)) + c_frac
-        sign = sign_affine(u - thr, w / s, s)
-        hit = sign >= 0 if tilde else sign <= 0
-        return hi if hit else lo
-
-    return select
+def _check_rule(variant: str, rule: SwitchRule | None, L: MeasureSet) -> None:
+    """A switching variant centers on its rule's means, so the rule must span
+    the measure set's own mean interval."""
+    if INCREMENTS[variant].switching:
+        if rule is None:
+            raise ValueError(f"variant {variant!r} needs a switch rule")
+        if rule.exact_mean_pair() != L.mean_bounds():
+            raise ValueError(
+                f"switch rule means {rule.mean_pair()} differ from the measure "
+                f"set's mean bounds {tuple(map(float, L.mean_bounds()))}"
+            )
 
 
 def _resolve_value_mode(value_mode: str, phi: TerminalFunction, n: int) -> bool:
@@ -178,8 +165,7 @@ def _dp_value(
     n_cap: int | None = None,
     keep_layers: bool = False,
 ):
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    inc = increment(variant, alpha, beta)
     if n < 1:
         raise ValueError("n must be at least 1")
     cap = DEFAULT_N_CAP[variant] if n_cap is None else n_cap
@@ -189,45 +175,39 @@ def _dp_value(
         )
     steps = n if steps is None else steps
     model = _prepare(L)
+    _check_rule(variant, rule, L)
     s = Fraction(n) * model.sigma_sq
     root = sqrt_exact(s)
     exact_values = _resolve_value_mode(value_mode, phi, n) if terminal is None else False
     if terminal is None:
         terminal = _terminal_adapter(phi, s, exact_values)
 
-    af, bf = to_fraction(alpha), to_fraction(beta)
-    n_frac = Fraction(n)
-
-    if variant in _SCALED_FAMILY:
-        if variant == "clt":
-            af, bf = Fraction(1), Fraction(1)
-        elif variant == "deviation":
-            af, bf = Fraction(1), Fraction(0)
-        law_steps = [
-            [(bf * x / n_frac, af * (x - mean)) for x in model.values]
-            for mean in model.means
-        ]
-        shared_steps = None
-        select = None
-    elif variant in ("special", "tilde"):
-        if rule is None:
-            raise ValueError(f"variant {variant!r} needs a switch rule")
-        by_mean = {
-            mu: [(x / n_frac, x - mu) for x in model.values]
-            for mu in (model.mu_lo, model.mu_hi)
-        }
-        select = _mu_selector(model, rule, n, tilde=(variant == "tilde"))
-        law_steps = None
-        shared_steps = by_mean
-    else:  # lln
-        law_steps = None
-        select = None
-        shared_steps = {None: [(x / n_frac, Fraction(0)) for x in model.values]}
-
     if exact_values:
         weights = model.probs
     else:
         weights = tuple(tuple(float(p) for p in law) for law in model.probs)
+
+    # Each law's step list, grouped by center so that laws sharing a center
+    # share their children: [(steps, probabilities of the laws taking them)].
+    def grouped(centers):
+        return [
+            ([inc.exact(x, c, n) for x in model.values],
+             tuple(pj for pj, cj in zip(weights, centers) if cj == c))
+            for c in dict.fromkeys(centers)
+        ]
+
+    if inc.switching:
+        k = len(model.probs)
+        by_mean = {mu: grouped([mu] * k) for mu in (model.mu_lo, model.mu_hi)}
+    else:
+        fixed = grouped(inc.law_centers(model.means))
+
+    def groups_at(m: int):
+        """The step groups of step m as a function of the state (u, w)."""
+        if not inc.switching:
+            return lambda u, w: fixed
+        thr = rule.threshold_exact(m, n)
+        return lambda u, w: by_mean[rule.mean(ExactValue(u, w, s), thr, inc.tilde)]
 
     # forward reachability
     zero = _canonical(Fraction(0), Fraction(0), root)
@@ -235,15 +215,10 @@ def _dp_value(
     seen_total = 1
     current = {zero}
     for m in range(1, steps + 1):
+        groups = groups_at(m)
         nxt = set()
         for (u, w) in current:
-            if law_steps is not None:
-                for incs in law_steps:
-                    for du, dw in incs:
-                        nxt.add(_canonical(u + du, w + dw, root))
-            else:
-                mu = select(m, u, w) if select is not None else None
-                incs = shared_steps[mu] if select is not None else shared_steps[None]
+            for incs, _ in groups(u, w):
                 for du, dw in incs:
                     nxt.add(_canonical(u + du, w + dw, root))
         seen_total += len(nxt)
@@ -259,24 +234,13 @@ def _dp_value(
     kept = [values] if keep_layers else None
     better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
     for m in range(steps, 0, -1):
+        groups = groups_at(m)
         prev: dict = {}
         for (u, w) in layers[m - 1]:
-            if law_steps is not None:
-                best = None
-                for j, incs in enumerate(law_steps):
-                    pj = weights[j]
-                    total = 0
-                    for (du, dw), p in zip(incs, pj):
-                        if p:
-                            total += p * values[_canonical(u + du, w + dw, root)]
-                    if best is None or better(total, best):
-                        best = total
-            else:
-                mu = select(m, u, w) if select is not None else None
-                incs = shared_steps[mu] if select is not None else shared_steps[None]
+            best = None
+            for incs, law_probs in groups(u, w):
                 children = [values[_canonical(u + du, w + dw, root)] for du, dw in incs]
-                best = None
-                for pj in weights:
+                for pj in law_probs:
                     total = 0
                     for child, p in zip(children, pj):
                         if p:
@@ -346,11 +310,10 @@ def band_probability_sup(L: MeasureSet, n: int, m: int, delta, rule: SwitchRule)
     if math.isinf(rule.center):
         return 0.0
     model = _prepare(L)
-    mid = (model.mu_lo + model.mu_hi) / 2
-    c = to_fraction(rule.center)
+    _check_rule("tilde", rule, L)
+    thr = rule.threshold_exact(m, n)
     d = to_fraction(delta)
-    off = mid * (1 - Fraction(m - 1, n))
-    lo, hi = c - off - d, c - off + d
+    lo, hi = thr - d, thr + d
     s = Fraction(n) * model.sigma_sq
 
     def band(u: Fraction, w: Fraction) -> float:
@@ -380,67 +343,38 @@ def enumerate_worst_case(
     minimize: bool = False,
 ) -> Fraction:
     """Brute-force worst case by walking the full (law, outcome) decision
-    tree with no state merging; exponential, for cross-checking at small n."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    tree with no state merging; exponential, for cross-checking at small n.
+    Laws that share a center share the children of a node."""
+    inc = increment(variant, alpha, beta)
     if n > 10:
         raise ValueError("enumeration is exponential; use n <= 10")
     if not phi.supports_exact:
         raise ValueError("enumeration oracle needs an indicator-kind terminal")
     model = _prepare(L)
+    _check_rule(variant, rule, L)
     s = Fraction(n) * model.sigma_sq
     root = sqrt_exact(s)
-    af, bf = to_fraction(alpha), to_fraction(beta)
-    n_frac = Fraction(n)
-    if variant == "clt":
-        af, bf = Fraction(1), Fraction(1)
-    elif variant == "deviation":
-        af, bf = Fraction(1), Fraction(0)
-    select = None
-    if variant in ("special", "tilde"):
-        if rule is None:
-            raise ValueError(f"variant {variant!r} needs a switch rule")
-        select = _mu_selector(model, rule, n, tilde=(variant == "tilde"))
+    law_centers = inc.law_centers(model.means)
     better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
 
     def rec(m: int, u: Fraction, w: Fraction) -> Fraction:
         if m == n:
             return phi.evaluate_exact(ExactValue(u, w, s))
         step = m + 1
-        if variant in _SCALED_FAMILY:
-            best = None
-            for mean, pj in zip(model.means, model.probs):
-                total = Fraction(0)
-                for x, p in zip(model.values, pj):
-                    if p:
-                        cu, cw = _canonical(u + bf * x / n_frac, w + af * (x - mean), root)
-                        total += p * rec(step, cu, cw)
-                if best is None or better(total, best):
-                    best = total
-            return best
-        if variant == "lln":
-            children = {}
-            best = None
-            for pj in model.probs:
-                total = Fraction(0)
-                for x, p in zip(model.values, pj):
-                    if p:
-                        key = _canonical(u + x / n_frac, w, root)
-                        if key not in children:
-                            children[key] = rec(step, key[0], key[1])
-                        total += p * children[key]
-                if best is None or better(total, best):
-                    best = total
-            return best
-        mu = select(step, u, w)
-        child_vals = []
-        for x in model.values:
-            cu, cw = _canonical(u + x / n_frac, w + (x - mu), root)
-            child_vals.append(rec(step, cu, cw))
+        centers = law_centers
+        if inc.switching:
+            mu = rule.mean(ExactValue(u, w, s), rule.threshold_exact(step, n), inc.tilde)
+            centers = [mu] * len(model.probs)
+        children: dict = {}  # center -> child values by outcome
         best = None
-        for pj in model.probs:
+        for c, pj in zip(centers, model.probs):
+            if c not in children:
+                children[c] = [
+                    rec(step, *_canonical(u + du, w + dw, root))
+                    for du, dw in (inc.exact(x, c, n) for x in model.values)
+                ]
             total = Fraction(0)
-            for child, p in zip(child_vals, pj):
+            for child, p in zip(children[c], pj):
                 if p:
                     total += p * child
             if best is None or better(total, best):
@@ -461,29 +395,20 @@ def product_model_value(
     """Best value over product measures: one law per coordinate, the same at
     every history.  Increments are exchangeable, so only the multiset of law
     choices matters and each candidate is evaluated by exact convolution."""
-    if variant not in ("clt", "scaled", "deviation", "lln"):
+    inc = increment(variant, alpha, beta)
+    if inc.switching:
         raise ValueError("product model applies to the non-switching variants")
     model = _prepare(L)
     s = Fraction(n) * model.sigma_sq
     root = sqrt_exact(s)
-    af, bf = to_fraction(alpha), to_fraction(beta)
-    if variant == "clt":
-        af, bf = Fraction(1), Fraction(1)
-    elif variant == "deviation":
-        af, bf = Fraction(1), Fraction(0)
-    n_frac = Fraction(n)
     k = len(L.laws)
     n_multisets = math.comb(n + k - 1, k - 1)
     if n_multisets * n > 200_000:
         raise ValueError("too many law multisets; reduce n or the law count")
 
-    if variant == "lln":
-        law_steps = [[(x / n_frac, Fraction(0)) for x in model.values]] * k
-    else:
-        law_steps = [
-            [(bf * x / n_frac, af * (x - mean)) for x in model.values]
-            for mean in model.means
-        ]
+    law_steps = [
+        [inc.exact(x, c, n) for x in model.values] for c in inc.law_centers(model.means)
+    ]
     fl_probs = [tuple(float(p) for p in law) for law in model.probs]
 
     def evaluate(counts: tuple[int, ...]) -> float:
@@ -548,8 +473,7 @@ class DriftPolicy:
         lo_idx, hi_idx = (i_lo, i_hi) if favorable_below else (i_hi, i_lo)
 
         def fn(m, M, n):
-            thr = rule.threshold(m, n)
-            return np.where(M <= thr, hi_idx, lo_idx)
+            return np.where(rule.upper(M, rule.threshold(m, n)), hi_idx, lo_idx)
 
         label = "threshold" if favorable_below else "anti-threshold"
         return cls("statistic_threshold", fn, label)
@@ -602,43 +526,29 @@ def simulate_statistic_values(
     row i of the draw matrix is the substream of path i, so results are
     reproducible bit for bit and independent of scheduling.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    inc = increment(variant, alpha, beta)
     if paths < 1:
         raise ValueError("paths must be at least 1")
-    if variant in ("special", "tilde") and rule is None:
-        raise ValueError(f"variant {variant!r} needs a switch rule")
+    _check_rule(variant, rule, L)
     iv = validate_measure_set(L)
     sigma = float(iv.sigma)
     values = np.array([float(v) for v in L.values])
-    means = np.array([float(m) for m in L.means()])
+    centers = np.array([float(c) for c in inc.law_centers(L.means())])
     cdfs = [np.cumsum([float(p) for p in law.probs]) for law in L.laws]
-    if variant == "clt":
-        alpha, beta = 1.0, 1.0
-    elif variant == "deviation":
-        alpha, beta = 1.0, 0.0
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     uniforms = rng.random((paths, n))
     M = np.zeros(paths)
-    sqn = math.sqrt(n)
-    mu_lo, mu_hi = float(iv.mu_lower), float(iv.mu_upper)
     for m in range(1, n + 1):
         idx = np.asarray(policy.fn(m, M, n), dtype=int)
         u = uniforms[:, m - 1]
         draws = np.stack([values[np.searchsorted(cdf, u, side="right")] for cdf in cdfs])
         x = draws[idx, np.arange(paths)]
-        if variant == "lln":
-            M = M + x / n
-            continue
-        if variant in ("special", "tilde"):
-            thr = rule.threshold(m, n)
-            hit = M >= thr if variant == "tilde" else M <= thr
-            mu = np.where(hit, mu_hi, mu_lo)
-            M = M + x / n + (x - mu) / (sigma * sqn)
+        if inc.switching:
+            mu = rule.mean(M, rule.threshold(m, n), inc.tilde)
         else:
-            mu = means[idx]
-            M = M + beta * x / n + alpha * (x - mu) / (sigma * sqn)
+            mu = centers[idx]
+        M = inc.advance(M, x, mu, n, sigma)
     return M
 
 
@@ -725,7 +635,7 @@ def convergence_report(
         )
         elapsed = time.perf_counter() - start
         product = None
-        if include_product and variant in ("clt", "scaled", "deviation", "lln"):
+        if include_product and not increment(variant).switching:
             product = product_model_value(L, phi, n, variant, alpha=alpha, beta=beta)
         rows.append(
             ReportRow(n, value, abs(value - limit_reference), elapsed, product)

@@ -3,10 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ambiclt import hyptest
 from ambiclt.closed_form import BadInterval, upper_indicator_limit
 from ambiclt.hyptest import (
     EmptyTheta,
     Infeasible,
+    NoConvergence,
     ThetaSet,
     calibrate_interval,
     optimize_ab,
@@ -150,6 +152,14 @@ class TestOptimizeAb:
         a, b, _ = optimize_ab(spec, 0.8)
         cov = upper_indicator_limit(interval(-0.3, 0.3), a, b)
         assert cov == pytest.approx(0.9, abs=1e-9)
+
+    def test_missed_coverage_constraint_raises(self, monkeypatch):
+        # a calibration that returns a fixed-width interval misses the
+        # coverage target; the check must survive python -O
+        monkeypatch.setattr(hyptest, "calibrate_interval",
+                            lambda spec, symmetric=True, a=None: (a, a + 3.0))
+        with pytest.raises(NoConvergence):
+            optimize_ab(HypSpec(kappa=0.3, sigma=1.0, alpha=0.1, xi=0.8), 0.8)
 
 
 class TestDecision:

@@ -39,6 +39,10 @@ class TestDiscreteMeasure:
         with pytest.raises(MeasureError):
             DiscreteMeasure(VALUES, ("0.6", "0.3", "0.2"))
 
+    def test_prob_sum_must_be_exactly_one(self):
+        with pytest.raises(MeasureError):
+            DiscreteMeasure((1, -1), ("0.4999999999995", "0.5"))
+
     def test_negative_prob_rejected(self):
         with pytest.raises(MeasureError):
             DiscreteMeasure((1, -1), ("1.2", "-0.2"))

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from ambiclt._exact import ExactValue
@@ -41,6 +42,32 @@ class TestSwitchRule:
     def test_infinite_center(self):
         rule = SwitchRule(math.inf, IV)
         assert rule.threshold(3, 7) == math.inf
+
+
+class TestChooserAgreement:
+    # means -1/5 and 2/5: a nonzero midpoint, so thresholds move with m
+    IV3 = interval(Fraction(-1, 5), Fraction(2, 5), Fraction(9, 10))
+
+    @pytest.mark.parametrize("tilde", [False, True])
+    @pytest.mark.parametrize("offset", [Fraction(-1, 2), Fraction(0), Fraction(1, 2)])
+    @pytest.mark.parametrize("center", [0.25, math.inf, -math.inf])
+    def test_float_array_and_exact_inputs_agree(self, center, offset, tilde):
+        rule = SwitchRule(center, self.IV3)
+        m, n = 3, 4
+        thr_f, thr_e = rule.threshold(m, n), rule.threshold_exact(m, n)
+        if math.isinf(center):  # the threshold is +/-inf: place M around 0
+            base_f, base_e = 0.0, Fraction(0)
+            upper = (center > 0) != tilde
+        else:
+            base_f, base_e = thr_f, thr_e
+            upper = offset >= 0 if tilde else offset <= 0  # offset 0 is a tie
+        M_exact = ExactValue(base_e + offset, Fraction(0), n * self.IV3.variance_exact())
+        M_float = base_f + float(offset)
+        want = Fraction(2, 5) if upper else Fraction(-1, 5)
+        assert rule.mean(M_exact, thr_e, tilde) == want
+        assert rule.mean(M_float, thr_f, tilde) == float(want)
+        got = rule.mean(np.array([M_float, M_float]), thr_f, tilde)
+        assert got.tolist() == [float(want)] * 2
 
 
 class TestStepMu:

@@ -8,6 +8,7 @@ from ambiclt.measures import DiscreteMeasure, MeasureSet, coin_example, validate
 from ambiclt.statistics import SwitchRule
 from ambiclt.terminal import TerminalFunction
 from ambiclt.worst_case import (
+    VARIANTS,
     DriftPolicy,
     StateExplosion,
     band_probability_sup,
@@ -30,6 +31,11 @@ COIN = coin_example("3/5", "3/10")
 IV = validate_measure_set(COIN)
 RULE = SwitchRule(0.0, IV)
 BOX = TerminalFunction.indicator(-1, 1)
+# three laws of variance 81/100 with means -1/5, 1/10 and 2/5: the mean
+# interval's midpoint 1/10 enters every switching threshold
+THREE = MeasureSet(
+    COIN.laws + (DiscreteMeasure((1, -1, 0), ("0.405", "0.405", "0.19")),)
+).shifted("1/10")
 
 
 def singleton():
@@ -50,6 +56,20 @@ class TestSmallOracle:
         for n in (2, 3):
             dp = _dp_value(COIN, BOX, n, variant, value_mode="exact")
             assert dp == enumerate_worst_case(COIN, BOX, n, variant)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_dp_equals_tree_with_an_off_center_interval(self, variant):
+        from ambiclt.worst_case import _dp_value
+
+        rule = SwitchRule(0.0, validate_measure_set(THREE))
+        kw = {
+            "scaled": dict(alpha="1/2", beta=2),
+            "special": dict(rule=rule),
+            "tilde": dict(rule=rule, minimize=True),
+        }.get(variant, {})
+        for n in range(1, 5):
+            dp = _dp_value(THREE, BOX, n, variant, value_mode="exact", **kw)
+            assert dp == enumerate_worst_case(THREE, BOX, n, variant, **kw)
 
     def test_switching_variants_equal_tree(self):
         for n in (2, 3):
@@ -76,6 +96,24 @@ class TestSmallOracle:
                              terminal=complement, minimize=False)
         inf_box = inf_dp_special_tilde(COIN, BOX, n, RULE, value_mode="float")
         assert sup_comp + inf_box == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRuleMustMatchTheSet:
+    # a rule built on another measure set's mean interval
+    OTHER = SwitchRule(0.0, validate_measure_set(THREE))
+
+    def test_dp_rejects_it(self):
+        with pytest.raises(ValueError, match="mean bounds"):
+            sup_dp_special(COIN, BOX, 3, self.OTHER)
+
+    def test_oracle_rejects_it(self):
+        with pytest.raises(ValueError, match="mean bounds"):
+            enumerate_worst_case(COIN, BOX, 3, "tilde", rule=self.OTHER, minimize=True)
+
+    def test_monte_carlo_rejects_it(self):
+        with pytest.raises(ValueError, match="mean bounds"):
+            simulate_statistic_values(COIN, DriftPolicy.constant(0), "special", 3, 10,
+                                      seed=1, rule=self.OTHER)
 
 
 class TestCollapseAndBounds:
