@@ -521,7 +521,10 @@ def _apply_config_file(parser, argv):
     """Config-file values become parser defaults, keeping flag precedence."""
     if "--config" not in argv:
         return
-    path = argv[argv.index("--config") + 1]
+    at = argv.index("--config") + 1
+    if at == len(argv):
+        raise ConfigError("--config needs a file path")
+    path = argv[at]
     ini = configparser.ConfigParser()
     read = ini.read(path)
     if not read:

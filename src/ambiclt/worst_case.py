@@ -13,11 +13,23 @@ weight on x/n, a weight on (x - center)/(sigma*sqrt(n)), and the center --
 the chosen law's mean (clt, scaled, deviation), the M-rule or M-tilde-rule
 mean of :class:`SwitchRule` (special, tilde), or none (lln).
 
-States are held exactly as pairs (u, w) meaning u + w/sqrt(n*sigma^2) with
-rational coefficients, so two paths reaching the same value share one node —
-the difference between this polynomial lattice and the exponential tree that
-:func:`enumerate_worst_case` walks for cross-checking.  Terminal indicators
-classify boundary atoms by exact rational comparison.
+A state after m steps is a cell (a, b) of an integer lattice: the sum of
+the outcomes is m*x_min + a*unit_x and the sum of the centers m*c_min +
+b*unit_c, the units being the gcd lattice units of the outcome values and
+of the centers a step can use.  The statistic is then u + w/sqrt(n*sigma^2)
+with rational u, w, so paths reaching the same value share one cell -- the
+difference between this polynomial lattice and the exponential tree that
+:func:`enumerate_worst_case` walks for cross-checking.  Each layer is one
+numpy array, and a backward step is a few weighted sums of shifted slices
+and a max (min) over laws.  Float values carry float64 weights; exact
+values carry integer numerators over a power of the probabilities' common
+denominator.
+
+The switching rule's threshold test and terminal indicators are decided by
+a float filter: a cell whose float statistic lies within a small relative
+margin of the threshold or an endpoint is handed to the exact comparison of
+:class:`ambiclt._exact.ExactValue` (an adaptive predicate in the sense of
+Shewchuk), so every decision is the exact one.
 
 A seeded Monte Carlo policy evaluator provides lower bounds on the suprema,
 and :func:`convergence_report` tabulates finite-n values against their
@@ -63,12 +75,15 @@ class DpLattice:
     ``layers[m]`` maps each reachable exact state key (u, w), meaning
     u + w/sqrt(scale), to its continuation value; ``layers[n]`` is the
     terminal payoff itself and ``layers[0]`` holds the single root value.
+    ``exact_tests`` counts the cells whose threshold or indicator test the
+    float filter left to exact arithmetic.
     """
 
     variant: str
     n: int
     scale: Fraction
     layers: tuple[dict, ...]
+    exact_tests: int = 0
 
     @property
     def value(self):
@@ -134,18 +149,78 @@ def _resolve_value_mode(value_mode: str, phi: TerminalFunction, n: int) -> bool:
     raise ValueError(f"unknown value_mode {value_mode!r}")
 
 
-def _terminal_adapter(phi: TerminalFunction, s: Fraction, exact_values: bool):
-    if phi.supports_exact:
-        if exact_values:
-            return lambda u, w: phi.evaluate_exact(ExactValue(u, w, s))
-        return lambda u, w: float(phi.evaluate_exact(ExactValue(u, w, s)))
-    if exact_values:
-        raise ValueError("exact value mode needs an indicator-kind terminal")
-    return lambda u, w: phi(float(ExactValue(u, w, s)))
-
-
 # ---------------------------------------------------------------------------
 # the dynamic program
+
+# A cell's float value is off by at most a few ulps of its magnitude bound;
+# cells within this relative margin of a threshold or an indicator endpoint
+# are decided by the exact test instead.
+_FILTER_MARGIN = 1e-10
+
+
+def _lattice_axis(points: Sequence[Fraction]) -> tuple[Fraction, Fraction, list[int]]:
+    """(origin, unit, offsets) with point = origin + offset*unit for every
+    point, the unit being the largest that makes every offset an integer."""
+    origin = min(points)
+    diffs = [p - origin for p in points]
+    den = math.lcm(*(d.denominator for d in diffs))
+    g = math.gcd(*(d.numerator * (den // d.denominator) for d in diffs))
+    unit = Fraction(g, den) if g else Fraction(1)
+    return origin, unit, [int(d / unit) for d in diffs]
+
+
+class _Lattice:
+    """The states after m steps as a dense integer grid.
+
+    Cell (a, b) of layer m holds the paths with sum x = m*x0 + a*ux and sum
+    of centers = m*c0 + b*uc, hence the statistic u + w/sqrt(s) with
+    u = drift*(sum x)/n and w = noise*(sum x - sum of centers).  Outcome i
+    moves a by ``dx[i]``, center c moves b by ``dc[c]``.
+    """
+
+    def __init__(self, inc, values, centers, n: int, s: Fraction):
+        self.inc, self.n, self.s = inc, n, s
+        self.x0, self.ux, self.dx = _lattice_axis(values)
+        self.c0, self.uc, dc = _lattice_axis(centers)
+        self.dc = dict(zip(centers, dc))
+        self.span = (max(self.dx), max(dc))
+        self.exact_tests = 0
+        # float form of the statistic, m*k0 + a*ka + b*kb, and a bound on the
+        # magnitude of the terms it sums
+        d = float(inc.drift) / n
+        e = float(inc.noise) / math.sqrt(float(s))
+        x0f, c0f, uxf, ucf = map(float, (self.x0, self.c0, self.ux, self.uc))
+        self._coef = (d * x0f + e * (x0f - c0f), (d + e) * uxf, -e * ucf)
+        self._mag = ((abs(d) + abs(e)) * (abs(x0f) + abs(c0f)),
+                     (abs(d) + abs(e)) * uxf, abs(e) * ucf)
+
+    def shape(self, m: int) -> tuple[int, int]:
+        return m * self.span[0] + 1, m * self.span[1] + 1
+
+    def state(self, m: int, a, b) -> ExactValue:
+        """The exact, canonical statistic value of cell (a, b) of layer m."""
+        sx = m * self.x0 + int(a) * self.ux
+        sc = m * self.c0 + int(b) * self.uc
+        return ExactValue.create(self.inc.drift * sx / self.n, self.inc.noise * (sx - sc), self.s)
+
+    def classify(self, m: int, float_test, exact_test, points):
+        """``float_test`` of every cell's float value, except that cells near
+        one of ``points`` (finite floats) get ``exact_test`` of their exact
+        value."""
+        rows, cols = self.shape(m)
+        a = np.arange(rows)[:, None]
+        b = np.arange(cols)[None, :]
+        (k0, ka, kb), (g0, ga, gb) = self._coef, self._mag
+        value = m * k0 + a * ka + b * kb
+        out = float_test(value)
+        mag = m * g0 + a * ga + b * gb
+        near = np.zeros(value.shape, dtype=bool)
+        for t in points:
+            near |= np.abs(value - t) <= _FILTER_MARGIN * (mag + abs(t))
+        for i, j in zip(*np.nonzero(near)):
+            out[i, j] = exact_test(self.state(m, i, j))
+        self.exact_tests += int(np.count_nonzero(near))
+        return out
 
 
 def _dp_value(
@@ -177,83 +252,120 @@ def _dp_value(
     model = _prepare(L)
     _check_rule(variant, rule, L)
     s = Fraction(n) * model.sigma_sq
-    root = sqrt_exact(s)
     exact_values = _resolve_value_mode(value_mode, phi, n) if terminal is None else False
-    if terminal is None:
-        terminal = _terminal_adapter(phi, s, exact_values)
-
-    if exact_values:
-        weights = model.probs
+    if inc.switching:
+        centers = [model.mu_lo, model.mu_hi]
     else:
-        weights = tuple(tuple(float(p) for p in law) for law in model.probs)
+        centers = inc.law_centers(model.means)
+    grid = _Lattice(inc, model.values, centers, n, s)
+    held = sum(math.prod(grid.shape(m)) for m in range(steps + 1)
+               if keep_layers or m >= steps - 1)
+    if held > max_states:
+        raise StateExplosion(
+            f"the lattice needs {held} cells at once, over max_states={max_states}"
+        )
 
-    # Each law's step list, grouped by center so that laws sharing a center
-    # share their children: [(steps, probabilities of the laws taking them)].
-    def grouped(centers):
-        return [
-            ([inc.exact(x, c, n) for x in model.values],
-             tuple(pj for pj, cj in zip(weights, centers) if cj == c))
-            for c in dict.fromkeys(centers)
-        ]
+    # Exact values are integer numerators: layer m over D**(steps - m), D the
+    # common denominator of the probabilities.
+    if exact_values:
+        D = math.lcm(*(p.denominator for law in model.probs for p in law))
+        weights = [[int(p * D) for p in law] for law in model.probs]
+        dtype = object
+    else:
+        weights = [[float(p) for p in law] for law in model.probs]
+        dtype = float
+
+    # The laws grouped by center, so that laws sharing a center share their
+    # children: [(b-offset of the center, weights of the laws taking it)].
+    def grouped(law_centers):
+        return [(grid.dc[c], [pj for pj, cj in zip(weights, law_centers) if cj == c])
+                for c in dict.fromkeys(law_centers)]
 
     if inc.switching:
-        k = len(model.probs)
-        by_mean = {mu: grouped([mu] * k) for mu in (model.mu_lo, model.mu_hi)}
+        lo, hi = (grouped([mu] * len(weights)) for mu in centers)
     else:
-        fixed = grouped(inc.law_centers(model.means))
+        fixed = grouped(centers)
 
-    def groups_at(m: int):
-        """The step groups of step m as a function of the state (u, w)."""
-        if not inc.switching:
-            return lambda u, w: fixed
+    def upper(m: int) -> np.ndarray:
+        """Which cells of layer m - 1 center step m on the upper mean."""
         thr = rule.threshold_exact(m, n)
-        return lambda u, w: by_mean[rule.mean(ExactValue(u, w, s), thr, inc.tilde)]
+        return grid.classify(
+            m - 1,
+            lambda M: rule.upper(M, float(thr), inc.tilde),
+            lambda ev: rule.upper(ev, thr, inc.tilde),
+            [] if math.isinf(thr) else [float(thr)],
+        )
 
-    # forward reachability
-    zero = _canonical(Fraction(0), Fraction(0), root)
-    layers: list[list[tuple[Fraction, Fraction]]] = [[zero]]
-    seen_total = 1
-    current = {zero}
-    for m in range(1, steps + 1):
-        groups = groups_at(m)
-        nxt = set()
-        for (u, w) in current:
-            for incs, _ in groups(u, w):
-                for du, dw in incs:
-                    nxt.add(_canonical(u + du, w + dw, root))
-        seen_total += len(nxt)
-        if seen_total > max_states:
-            raise StateExplosion(
-                f"reachable states exceeded max_states={max_states} at step {m}"
-            )
-        layers.append(sorted(nxt))
-        current = nxt
+    # forward reachability, for the per-state table only
+    if keep_layers:
+        reach = [np.ones((1, 1), dtype=bool)]
+        uppers = {}
+        for m in range(1, steps + 1):
+            prev = reach[-1]
+            rows, cols = prev.shape
+            if inc.switching:
+                up = uppers[m] = upper(m)
+                sources = [(grid.dc[centers[1]], prev & up), (grid.dc[centers[0]], prev & ~up)]
+            else:
+                sources = [(db, prev) for db, _ in fixed]
+            nxt = np.zeros(grid.shape(m), dtype=bool)
+            for db, src in sources:
+                for da in grid.dx:
+                    nxt[da:da + rows, db:db + cols] |= src
+            reach.append(nxt)
+
+    # terminal layer
+    if terminal is None and phi.supports_exact:
+        V = grid.classify(steps, phi.sample, phi.evaluate_exact, phi.breakpoints())
+        if exact_values:
+            V = V.astype(np.int64).astype(object)
+    else:
+        if terminal is None:
+            terminal = lambda u, w: phi(float(ExactValue(u, w, s)))  # noqa: E731
+        V = np.empty(grid.shape(steps))
+        for a, b in np.ndindex(V.shape):
+            V[a, b] = terminal(*grid.state(steps, a, b).key())
 
     # backward induction
-    values = {key: terminal(key[0], key[1]) for key in layers[steps]}
-    kept = [values] if keep_layers else None
-    better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
+    better = np.less if minimize else np.greater
+
+    def expectation(V, m: int, groups):
+        """Best over the groups' laws of the expected layer-m value, on the
+        cells of layer m - 1; terms are added in outcome order."""
+        rows, cols = grid.shape(m - 1)
+        best = None
+        for db, law_weights in groups:
+            children = [V[da:da + rows, db:db + cols] for da in grid.dx]
+            for pj in law_weights:
+                total = np.zeros((rows, cols), dtype=dtype)
+                for child, p in zip(children, pj):
+                    if p:
+                        total = total + p * child
+                best = total if best is None else np.where(better(total, best), total, best)
+        return best
+
+    kept = [V]
     for m in range(steps, 0, -1):
-        groups = groups_at(m)
-        prev: dict = {}
-        for (u, w) in layers[m - 1]:
-            best = None
-            for incs, law_probs in groups(u, w):
-                children = [values[_canonical(u + du, w + dw, root)] for du, dw in incs]
-                for pj in law_probs:
-                    total = 0
-                    for child, p in zip(children, pj):
-                        if p:
-                            total += p * child
-                    if best is None or better(total, best):
-                        best = total
-            prev[(u, w)] = best
-        values = prev
+        if inc.switching:
+            up = uppers[m] if keep_layers else upper(m)
+            V = np.where(up, expectation(V, m, hi), expectation(V, m, lo))
+        else:
+            V = expectation(V, m, fixed)
         if keep_layers:
-            kept.append(values)
-    if keep_layers:
-        return DpLattice(variant, steps, s, tuple(reversed(kept)))
-    return values[zero]
+            kept.append(V)
+
+    def value(V, m: int, a=0, b=0):
+        if exact_values:
+            return Fraction(V[a, b], D ** (steps - m))
+        return float(V[a, b])
+
+    if not keep_layers:
+        return value(V, 0)
+    layers = []
+    for m, (V, R) in enumerate(zip(reversed(kept), reach)):
+        layers.append({grid.state(m, a, b).key(): value(V, m, a, b)
+                       for a, b in zip(*np.nonzero(R))})
+    return DpLattice(variant, steps, s, tuple(layers), grid.exact_tests)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +639,8 @@ def simulate_statistic_values(
     reproducible bit for bit and independent of scheduling.
     """
     inc = increment(variant, alpha, beta)
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if paths < 1:
         raise ValueError("paths must be at least 1")
     _check_rule(variant, rule, L)

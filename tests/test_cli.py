@@ -126,6 +126,13 @@ class TestErrorsAndExitCodes:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "StateExplosion"
 
+    def test_zero_horizon_monte_carlo_exits_3(self, capsys):
+        code = run_cli(["mc", "--theorem", "special", "--p", "0.6", "--q", "0.3",
+                        "--a", "-1", "--b", "1", "--n", "0", "--paths", "10"])
+        assert code == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "ValueError", "message": "n must be at least 1"}
+
     def test_missing_inputs_exit_2(self, capsys):
         code = run_cli(["dp", "--theorem", "clt", "--n", "4"])
         assert code == 2
@@ -174,6 +181,11 @@ class TestConfigFile:
 
     def test_missing_config_file(self, capsys):
         assert run_cli(["dp", "--config", "/nonexistent.ini", "--n", "3"]) == 2
+
+    def test_config_flag_without_a_path(self, capsys):
+        assert run_cli(["dp", "--config"]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
 
 
 class TestHyptestCommand:

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ambiclt._exact import ExactValue
 from ambiclt.measures import DiscreteMeasure, MeasureSet, coin_example, validate_measure_set
-from ambiclt.statistics import SwitchRule
+from ambiclt.statistics import LAW_MEAN, SwitchRule, increment
 from ambiclt.terminal import TerminalFunction
 from ambiclt.worst_case import (
     VARIANTS,
@@ -96,6 +99,80 @@ class TestSmallOracle:
                              terminal=complement, minimize=False)
         inf_box = inf_dp_special_tilde(COIN, BOX, n, RULE, value_mode="float")
         assert sup_comp + inf_box == pytest.approx(1.0, abs=1e-12)
+
+
+def _variant_kwargs(variant, rule):
+    return {
+        "scaled": dict(alpha="1/2", beta=2),
+        "special": dict(rule=rule),
+        "tilde": dict(rule=rule, minimize=True),
+    }.get(variant, {})
+
+
+def _path_value(L, variant, n, rule, outcomes, laws):
+    """Exact statistic at the end of one path: outcome and law index per step,
+    the center being the law's mean or the switching rule's choice."""
+    inc = increment(variant, "1/2", 2)
+    s = n * validate_measure_set(L).variance_exact()
+    M = ExactValue.zero(s)
+    for m, (i, j) in enumerate(zip(outcomes, laws), start=1):
+        if inc.switching:
+            center = rule.mean(M, rule.threshold_exact(m, n), inc.tilde)
+        else:
+            center = inc.law_centers(L.means())[j]
+        M = M.shift(*inc.exact(L.values[i], center, n))
+    return M
+
+
+@st.composite
+def _dp_cases(draw, variant):
+    den = draw(st.integers(3, 12))
+    q = draw(st.integers(1, (den - 1) // 2))
+    p = draw(st.integers(q + 1, den - q))
+    L = coin_example(Fraction(p, den), Fraction(q, den))
+    if draw(st.booleans()):
+        L = L.shifted(Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 6))))
+    # the oracle's tree has 6**n leaves when the two laws center apart
+    n = draw(st.integers(1, 5 if increment(variant).centering == LAW_MEAN else 6))
+    center = draw(st.sampled_from([0.0, math.inf, -math.inf, None]))
+    if center is None:
+        center = draw(st.integers(-20, 20)) / 20
+    rule = SwitchRule(center, validate_measure_set(L))
+    # endpoints: j/10, and a reachable terminal value when that is rational
+    outcomes = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    laws = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    value = _path_value(L, variant, n, rule, outcomes, laws)
+    ends = [Fraction(draw(st.integers(-15, 15)), 10)]
+    ends.append(value.u if value.w == 0 else Fraction(draw(st.integers(-15, 15)), 10))
+    lo, hi = min(ends), max(ends)
+    if lo == hi:
+        hi += Fraction(1, 2)
+    return L, n, rule, TerminalFunction.indicator(lo, hi)
+
+
+class TestLatticeAgainstEnumeration:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_random_coins_endpoints_and_centers(self, variant, data):
+        from ambiclt.worst_case import _dp_value
+
+        L, n, rule, phi = data.draw(_dp_cases(variant))
+        kw = _variant_kwargs(variant, rule)
+        tree = enumerate_worst_case(L, phi, n, variant, **kw)
+        assert _dp_value(L, phi, n, variant, value_mode="exact", **kw) == tree
+        got = _dp_value(L, phi, n, variant, value_mode="float", **kw)
+        assert got == pytest.approx(float(tree), abs=1e-12)
+
+    @pytest.mark.parametrize("variant", ["special", "tilde", "lln"])
+    def test_ties_at_a_rational_root_horizon(self, variant):
+        # n*sigma^2 = 9*81/100 has the rational root 27/10, so every statistic
+        # value is rational and states sit exactly on thresholds and endpoints
+        n = 9
+        kw = _variant_kwargs(variant, RULE)
+        lattice = dp_lattice(COIN, BOX, n, variant, value_mode="exact", **kw)
+        assert lattice.value == enumerate_worst_case(COIN, BOX, n, variant, **kw)
+        assert lattice.exact_tests > 0
 
 
 class TestRuleMustMatchTheSet:
@@ -242,6 +319,13 @@ class TestMonteCarlo:
                                   rule=RULE)
             # 1e-12 absorbs float-mode dp rounding when stderr degenerates
             assert est.estimate <= dp + 3.0 * est.stderr + 1e-12
+
+    def test_zero_horizon_is_rejected(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            simulate_statistic_values(COIN, DriftPolicy.constant(0), "clt", 0, 10, seed=1)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            mc_policy_value(COIN, DriftPolicy.threshold(COIN, RULE), BOX, "special", 0, 10,
+                            seed=1, rule=RULE)
 
     def test_policy_table_and_callable(self):
         table = DriftPolicy.from_table({1: 1, 2: 0}, default=0)
