@@ -20,10 +20,12 @@ of the centers a step can use.  The statistic is then u + w/sqrt(n*sigma^2)
 with rational u, w, so paths reaching the same value share one cell -- the
 difference between this polynomial lattice and the exponential tree that
 :func:`enumerate_worst_case` walks for cross-checking.  Each layer is one
-numpy array, and a backward step is a few weighted sums of shifted slices
-and a max (min) over laws.  Float values carry float64 weights; exact
-values carry integer numerators over a power of the probabilities' common
-denominator.
+numpy array with a row per reachable a and a column per reachable b, so its
+size follows the number of distinct sums, not the fineness of the units.  A
+backward step is a few weighted sums of shifted slices (gathers where the
+reachable offsets have gaps) and a max (min) over laws.  Float values carry
+float64 weights; exact values carry integer numerators over a power of the
+probabilities' common denominator.
 
 The switching rule's threshold test and terminal indicators are decided by
 a float filter: a cell whose float statistic lies within a small relative
@@ -169,24 +171,70 @@ def _lattice_axis(points: Sequence[Fraction]) -> tuple[Fraction, Fraction, list[
     return origin, unit, [int(d / unit) for d in diffs]
 
 
-class _Lattice:
-    """The states after m steps as a dense integer grid.
+def _advance(offsets, moves: Sequence[int], dtype):
+    """The sorted offsets that one more move reaches from ``offsets``, as a
+    range when they are the run 0, 1, ..., and for each move where
+    ``offsets`` land among them: a slice when they land on a contiguous run,
+    else an index array."""
+    size, ordered = len(offsets), sorted(moves)
+    if isinstance(offsets, range) and all(b - a <= size for a, b in zip(ordered, ordered[1:])):
+        # the run, moved by steps no wider than itself, stays a run
+        return range(size + ordered[-1]), {d: slice(d, d + size) for d in moves}
+    offsets = np.asarray(offsets, dtype=dtype)
+    after = np.unique(np.concatenate([offsets + d for d in moves]))
+    lands = {}
+    for d in moves:
+        idx = np.searchsorted(after, offsets + d)
+        contiguous = idx[-1] - idx[0] == idx.size - 1
+        lands[d] = slice(idx[0], idx[-1] + 1) if contiguous else idx
+    return (range(after.size) if after[-1] == after.size - 1 else after), lands
 
-    Cell (a, b) of layer m holds the paths with sum x = m*x0 + a*ux and sum
-    of centers = m*c0 + b*uc, hence the statistic u + w/sqrt(s) with
-    u = drift*(sum x)/n and w = noise*(sum x - sum of centers).  Outcome i
-    moves a by ``dx[i]``, center c moves b by ``dc[c]``.
+
+class _Lattice:
+    """The states after m steps as a grid of integer offsets.
+
+    Cell (i, j) of layer m holds the paths with sum x = m*x0 + rows[m][i]*ux
+    and sum of centers = m*c0 + cols[m][j]*uc, hence the statistic
+    u + w/sqrt(s) with u = drift*(sum x)/n and w = noise*(sum x - sum of
+    centers).  Outcome i moves the row offset by ``dx[i]``, center c moves the
+    column offset by ``dc[c]``.  ``rows[m]`` and ``cols[m]`` are the sorted
+    offsets that m steps reach (a range for a gapless run), so a layer's size
+    follows the number of distinct sums, however fine the lattice units are.
     """
 
-    def __init__(self, inc, values, centers, n: int, s: Fraction):
+    def __init__(self, inc, values, centers, n: int, s: Fraction,
+                 steps: int, max_states: int, keep_layers: bool):
         self.inc, self.n, self.s = inc, n, s
         self.x0, self.ux, self.dx = _lattice_axis(values)
         self.c0, self.uc, dc = _lattice_axis(centers)
         self.dc = dict(zip(centers, dc))
-        self.span = (max(self.dx), max(dc))
         self.exact_tests = 0
-        # float form of the statistic, m*k0 + a*ka + b*kb, and a bound on the
-        # magnitude of the terms it sums
+        # int64 offsets unless a fine unit could overflow them
+        dtype = object if max(self.dx + dc) * steps >= 2**62 else np.int64
+        self.rows, self.cols = [range(1)], [range(1)]
+        self._lands = [None]
+        # max_states bounds the cells of the layers held at once plus the
+        # stored offsets and index arrays.  It counts cells, not bytes: a
+        # backward step also holds a few temporaries of a layer's size, and an
+        # exact cell is a Python int of about steps*log2(D) bits.
+        offsets, cells = 0, 1
+        for m in range(1, steps + 1):
+            rows, row_lands = _advance(self.rows[-1], self.dx, dtype)
+            cols, col_lands = _advance(self.cols[-1], dc, dtype)
+            self.rows.append(rows)
+            self.cols.append(cols)
+            self._lands.append((row_lands, col_lands))
+            stored = [rows, cols, *row_lands.values(), *col_lands.values()]
+            offsets += sum(v.size for v in stored if isinstance(v, np.ndarray))
+            size = math.prod(self.shape(m))
+            cells = cells + size if keep_layers else size + math.prod(self.shape(m - 1))
+            if offsets + cells > max_states:
+                raise StateExplosion(
+                    f"the lattice holds over max_states={max_states} cells and "
+                    f"offsets by step {m} of {steps}"
+                )
+        # float form of the statistic, m*k0 + a*ka + b*kb for offsets (a, b),
+        # and a bound on the magnitude of the terms it sums
         d = float(inc.drift) / n
         e = float(inc.noise) / math.sqrt(float(s))
         x0f, c0f, uxf, ucf = map(float, (self.x0, self.c0, self.ux, self.uc))
@@ -195,21 +243,30 @@ class _Lattice:
                      (abs(d) + abs(e)) * uxf, abs(e) * ucf)
 
     def shape(self, m: int) -> tuple[int, int]:
-        return m * self.span[0] + 1, m * self.span[1] + 1
+        return len(self.rows[m]), len(self.cols[m])
 
-    def state(self, m: int, a, b) -> ExactValue:
-        """The exact, canonical statistic value of cell (a, b) of layer m."""
-        sx = m * self.x0 + int(a) * self.ux
-        sc = m * self.c0 + int(b) * self.uc
+    def child(self, m: int, da, db):
+        """The index of the layer-m cell that each cell of layer m - 1 moves
+        to on the offset move (da, db)."""
+        row_lands, col_lands = self._lands[m]
+        i, j = row_lands[da], col_lands[db]
+        if isinstance(i, slice) or isinstance(j, slice):
+            return i, j
+        return np.ix_(i, j)
+
+    def state(self, m: int, i, j) -> ExactValue:
+        """The exact, canonical statistic value of cell (i, j) of layer m."""
+        sx = m * self.x0 + int(self.rows[m][i]) * self.ux
+        sc = m * self.c0 + int(self.cols[m][j]) * self.uc
         return ExactValue.create(self.inc.drift * sx / self.n, self.inc.noise * (sx - sc), self.s)
 
     def classify(self, m: int, float_test, exact_test, points):
         """``float_test`` of every cell's float value, except that cells near
         one of ``points`` (finite floats) get ``exact_test`` of their exact
         value."""
-        rows, cols = self.shape(m)
-        a = np.arange(rows)[:, None]
-        b = np.arange(cols)[None, :]
+        a, b = (np.arange(len(o), dtype=float) if isinstance(o, range) else o.astype(float)
+                for o in (self.rows[m], self.cols[m]))
+        a, b = a[:, None], b[None, :]
         (k0, ka, kb), (g0, ga, gb) = self._coef, self._mag
         value = m * k0 + a * ka + b * kb
         out = float_test(value)
@@ -253,17 +310,16 @@ def _dp_value(
     _check_rule(variant, rule, L)
     s = Fraction(n) * model.sigma_sq
     exact_values = _resolve_value_mode(value_mode, phi, n) if terminal is None else False
-    if inc.switching:
+    # an infinite center freezes the switching rule on one mean
+    switching = inc.switching and not math.isinf(rule.center)
+    if switching:
         centers = [model.mu_lo, model.mu_hi]
+    elif inc.switching:
+        frozen = rule.mean(ExactValue.zero(s), rule.threshold_exact(1, n), inc.tilde)
+        centers = [frozen] * len(model.probs)
     else:
         centers = inc.law_centers(model.means)
-    grid = _Lattice(inc, model.values, centers, n, s)
-    held = sum(math.prod(grid.shape(m)) for m in range(steps + 1)
-               if keep_layers or m >= steps - 1)
-    if held > max_states:
-        raise StateExplosion(
-            f"the lattice needs {held} cells at once, over max_states={max_states}"
-        )
+    grid = _Lattice(inc, model.values, centers, n, s, steps, max_states, keep_layers)
 
     # Exact values are integer numerators: layer m over D**(steps - m), D the
     # common denominator of the probabilities.
@@ -281,7 +337,7 @@ def _dp_value(
         return [(grid.dc[c], [pj for pj, cj in zip(weights, law_centers) if cj == c])
                 for c in dict.fromkeys(law_centers)]
 
-    if inc.switching:
+    if switching:
         lo, hi = (grouped([mu] * len(weights)) for mu in centers)
     else:
         fixed = grouped(centers)
@@ -302,8 +358,7 @@ def _dp_value(
         uppers = {}
         for m in range(1, steps + 1):
             prev = reach[-1]
-            rows, cols = prev.shape
-            if inc.switching:
+            if switching:
                 up = uppers[m] = upper(m)
                 sources = [(grid.dc[centers[1]], prev & up), (grid.dc[centers[0]], prev & ~up)]
             else:
@@ -311,7 +366,7 @@ def _dp_value(
             nxt = np.zeros(grid.shape(m), dtype=bool)
             for db, src in sources:
                 for da in grid.dx:
-                    nxt[da:da + rows, db:db + cols] |= src
+                    nxt[grid.child(m, da, db)] |= src
             reach.append(nxt)
 
     # terminal layer
@@ -332,12 +387,11 @@ def _dp_value(
     def expectation(V, m: int, groups):
         """Best over the groups' laws of the expected layer-m value, on the
         cells of layer m - 1; terms are added in outcome order."""
-        rows, cols = grid.shape(m - 1)
         best = None
         for db, law_weights in groups:
-            children = [V[da:da + rows, db:db + cols] for da in grid.dx]
+            children = [V[grid.child(m, da, db)] for da in grid.dx]
             for pj in law_weights:
-                total = np.zeros((rows, cols), dtype=dtype)
+                total = np.zeros(grid.shape(m - 1), dtype=dtype)
                 for child, p in zip(children, pj):
                     if p:
                         total = total + p * child
@@ -346,7 +400,7 @@ def _dp_value(
 
     kept = [V]
     for m in range(steps, 0, -1):
-        if inc.switching:
+        if switching:
             up = uppers[m] if keep_layers else upper(m)
             V = np.where(up, expectation(V, m, hi), expectation(V, m, lo))
         else:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ambiclt._exact import ExactValue
@@ -43,6 +43,18 @@ THREE = MeasureSet(
 
 def singleton():
     return MeasureSet((DiscreteMeasure((1, -1, 0), ("0.45", "0.45", "0.1")),))
+
+
+def three_point_law(values, mean, variance):
+    """The law on three distinct values with the given mean and variance:
+    p_i = E[prod_{j != i} (X - x_j)] / prod_{j != i} (x_i - x_j)."""
+    values = [Fraction(v) for v in values]
+    mean, second = Fraction(mean), Fraction(variance) + Fraction(mean) ** 2
+    probs = []
+    for i, xi in enumerate(values):
+        a, b = (x for j, x in enumerate(values) if j != i)
+        probs.append((second - (a + b) * mean + a * b) / ((xi - a) * (xi - b)))
+    return DiscreteMeasure(tuple(values), tuple(probs))
 
 
 class TestSmallOracle:
@@ -124,16 +136,43 @@ def _path_value(L, variant, n, rule, outcomes, laws):
     return M
 
 
+def _rational(draw, lo, hi, den):
+    return Fraction(draw(st.integers(lo, hi)), draw(st.integers(1, den)))
+
+
 @st.composite
-def _dp_cases(draw, variant):
+def _coin(draw):
     den = draw(st.integers(3, 12))
     q = draw(st.integers(1, (den - 1) // 2))
     p = draw(st.integers(q + 1, den - q))
     L = coin_example(Fraction(p, den), Fraction(q, den))
     if draw(st.booleans()):
-        L = L.shifted(Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 6))))
-    # the oracle's tree has 6**n leaves when the two laws center apart
-    n = draw(st.integers(1, 5 if increment(variant).centering == LAW_MEAN else 6))
+        L = L.shifted(_rational(draw, -6, 6, 6))
+    return L
+
+
+@st.composite
+def _uneven_pair(draw):
+    """Two laws of one variance on three values with unequal, non-unit gaps,
+    the means a little either side of a reference law's."""
+    low = _rational(draw, -12, 0, 7)
+    gaps = [_rational(draw, 1, 9, 7) for _ in range(2)]
+    values = draw(st.permutations([low, low + gaps[0], low + sum(gaps)]))
+    weights = [draw(st.integers(1, 5)) for _ in values]
+    ref = DiscreteMeasure(values, [Fraction(w, sum(weights)) for w in weights])
+    shift = min(gaps) * draw(st.integers(1, 4)) / 40
+    laws = [three_point_law(values, ref.mean() + d, ref.variance()) for d in (shift, -shift)]
+    assume(all(p > 0 for law in laws for p in law.probs))
+    return MeasureSet(tuple(laws))
+
+
+@st.composite
+def _dp_cases(draw, variant):
+    coin = draw(st.booleans())
+    L = draw(_coin() if coin else _uneven_pair())
+    # the oracle's tree has 6**n leaves when the two laws center apart, and
+    # uneven gaps merge few of them
+    n = draw(st.integers(1, 4 + coin if increment(variant).centering == LAW_MEAN else 6))
     center = draw(st.sampled_from([0.0, math.inf, -math.inf, None]))
     if center is None:
         center = draw(st.integers(-20, 20)) / 20
@@ -173,6 +212,39 @@ class TestLatticeAgainstEnumeration:
         lattice = dp_lattice(COIN, BOX, n, variant, value_mode="exact", **kw)
         assert lattice.value == enumerate_worst_case(COIN, BOX, n, variant, **kw)
         assert lattice.exact_tests > 0
+
+
+class TestFineLatticeUnit:
+    # outcome values -1, 1/1000, 1: a lattice unit of 1/1000 against a range
+    # of 2, but only a few hundred distinct outcome sums per layer
+    @staticmethod
+    def fine(middle="1/1000"):
+        return MeasureSet(tuple(
+            three_point_law((-1, middle, 1), mean, "81/100") for mean in ("3/10", "-3/10")
+        ))
+
+    FINE = fine()
+
+    def test_layers_follow_the_reachable_sums(self):
+        rule = SwitchRule(0.0, validate_measure_set(self.FINE))
+        # a dense grid over the unit would need 6.4M cells at n = 40
+        value = sup_dp_special(self.FINE, BOX, 40, rule, value_mode="float",
+                               max_states=200_000)
+        assert 0 < value < 1
+        # 41*42/2 outcome sums times 41 center sums, for two layers
+        with pytest.raises(StateExplosion):
+            sup_dp_special(self.FINE, BOX, 40, rule, max_states=2 * 861 * 41)
+
+    # a unit of 10**-18 takes the offsets past the int64 guard: Python ints
+    @pytest.mark.parametrize("middle", ["1/1000", "1/1000000000000000000"])
+    def test_exact_equals_enumeration(self, middle):
+        from ambiclt.worst_case import _dp_value
+
+        L = self.fine(middle)
+        rule = SwitchRule(0.0, validate_measure_set(L))
+        for variant, kw in (("special", dict(rule=rule)), ("clt", {})):
+            tree = enumerate_worst_case(L, BOX, 4, variant, **kw)
+            assert _dp_value(L, BOX, 4, variant, value_mode="exact", **kw) == tree
 
 
 class TestRuleMustMatchTheSet:
@@ -279,6 +351,12 @@ class TestCaps:
     def test_horizon_cap_raises(self):
         with pytest.raises(StateExplosion):
             sup_dp_clt(COIN, BOX, 61)
+
+    def test_frozen_rule_and_lln_reach_the_horizon_cap(self):
+        # one center per step, so a layer is a single column of 2m + 1 cells
+        frozen = SwitchRule(-math.inf, IV)
+        assert 0 < sup_dp_special(COIN, BOX, 2000, frozen, value_mode="float") < 1
+        assert sup_dp_lln(COIN, BOX, 2000, value_mode="float") > 0.99
 
     def test_cap_override(self):
         with pytest.raises(StateExplosion):
