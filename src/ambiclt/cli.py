@@ -11,7 +11,9 @@ Runs are reproducible: identical configuration and seed give byte-identical
 payloads.  JSON reports use stable key ordering and carry the resolved
 configuration, a version string, and per-value provenance; CSV files carry a
 header row.  Wall-clock columns are emitted only with ``--timing``.
-Defaults < config file < explicit flags, in that precedence order.
+Defaults < config ``[global]`` < config ``[<command>]`` < explicit flags, in
+that precedence order: argparse reads the config values as flags spliced in
+ahead of the command line's own.
 """
 
 from __future__ import annotations
@@ -22,19 +24,15 @@ import csv
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .closed_form import (
-    BadInterval,
-    BadTime,
     IndicatorLimit,
     indicator_limit_detail,
-    lower_indicator_limit,
     upper_indicator_limit,
 )
 from .hyptest import (
-    EmptyTheta,
-    Infeasible,
     NoConvergence,
     TestSpec,
     ThetaSet,
@@ -45,20 +43,13 @@ from .hyptest import (
     wrong_acceptance,
 )
 from .measures import (
-    MeasureError,
     coin_example,
     interval,
     load_measure_set,
     validate_measure_set,
 )
-from .pde import (
-    NotMonotone,
-    OutOfDomain,
-    PdeGrid,
-    UnstableGrid,
-    epsilon_extrapolate,
-)
-from .statistics import HorizonExceeded, LengthMismatch, SwitchRule, read_path_csv
+from .pde import PdeGrid, UnstableGrid, epsilon_extrapolate
+from .statistics import SwitchRule, read_path_csv
 from .terminal import TerminalFunction
 from .worst_case import (
     StateExplosion,
@@ -85,20 +76,15 @@ class ConfigError(ValueError):
     """Bad flags, config file, or flag combinations."""
 
 
-_DOMAIN_ERRORS = (
-    MeasureError,
-    BadInterval,
-    BadTime,
-    HorizonExceeded,
-    LengthMismatch,
-    EmptyTheta,
-    Infeasible,
-    OutOfDomain,
-    NotMonotone,
-    ValueError,
+# checked in order: a ConfigError is a ValueError, and so is UnstableGrid;
+# every other domain error of the library subclasses ValueError
+_EXIT_CODES = (
+    (ConfigError, EXIT_CONFIG),
+    (StateExplosion, EXIT_CAPACITY),
+    (NoConvergence, EXIT_NUMERIC),
+    (UnstableGrid, EXIT_NUMERIC),
+    (ValueError, EXIT_DOMAIN),
 )
-_NUMERIC_ERRORS = (NoConvergence, UnstableGrid)
-_CAPACITY_ERRORS = (StateExplosion,)
 
 
 def _error_record(exc: Exception) -> str:
@@ -132,7 +118,8 @@ _PROVENANCE_MODULE = {
 
 
 def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
-    if args.format == "csv" and csv_rows is not None:
+    # only dp and lln pass rows, and only they have --format
+    if csv_rows is not None and args.format == "csv":
         text_io = open(args.output, "w", encoding="utf-8", newline="") if args.output else sys.stdout
         try:
             writer = csv.writer(text_io)
@@ -218,31 +205,26 @@ def _run_pde(args) -> int:
     return EXIT_OK
 
 
-def _dp_single(L, phi, theorem, args, rule):
-    if theorem == "clt":
-        return sup_dp_clt(L, phi, args.n)
-    if theorem == "special":
-        return sup_dp_special(L, phi, args.n, rule)
-    if theorem == "tilde":
-        return inf_dp_special_tilde(L, phi, args.n, rule)
-    if theorem == "deviation":
-        return sup_dp_deviation(L, phi, args.n)
-    if theorem == "lln":
-        return sup_dp_lln(L, phi, args.n)
-    if theorem == "scaled":
-        return sup_dp_scaled(L, phi, args.n, repr(args.alpha_scale), repr(args.beta_scale))
-    raise ConfigError(f"unknown theorem {theorem!r}")
+class _Theorem(NamedTuple):
+    operation: str  # the library function, named in the provenance
+    run: Callable  # (L, phi, rule, args) -> the single-n DP value
+    side: str | None  # side of the indicator limit the values converge to
 
 
-def _dp_reference(L, theorem, args) -> float | None:
-    iv = validate_measure_set(L)
-    if args.a is None or args.b is None:
-        return None
-    if theorem in ("clt", "special"):
-        return upper_indicator_limit(iv, args.a, args.b)
-    if theorem == "tilde":
-        return lower_indicator_limit(iv, args.a, args.b)
-    return None
+_THEOREMS = {
+    "clt": _Theorem("sup_dp_clt", lambda L, phi, rule, args:
+                    sup_dp_clt(L, phi, args.n), "upper"),
+    "special": _Theorem("sup_dp_special", lambda L, phi, rule, args:
+                        sup_dp_special(L, phi, args.n, rule), "upper"),
+    "tilde": _Theorem("inf_dp_special_tilde", lambda L, phi, rule, args:
+                      inf_dp_special_tilde(L, phi, args.n, rule), "lower"),
+    "deviation": _Theorem("sup_dp_deviation", lambda L, phi, rule, args:
+                          sup_dp_deviation(L, phi, args.n), None),
+    "lln": _Theorem("sup_dp_lln", lambda L, phi, rule, args:
+                    sup_dp_lln(L, phi, args.n), None),
+    "scaled": _Theorem("sup_dp_scaled", lambda L, phi, rule, args: sup_dp_scaled(
+        L, phi, args.n, repr(args.alpha_scale), repr(args.beta_scale)), None),
+}
 
 
 def _run_dp(args, theorem=None) -> int:
@@ -257,10 +239,12 @@ def _run_dp(args, theorem=None) -> int:
         "measures": getattr(args, "measures", None),
         "alpha_scale": args.alpha_scale, "beta_scale": args.beta_scale,
     }
+    spec = _THEOREMS[theorem]
+    limit = None
+    if spec.side is not None and args.a is not None and args.b is not None:
+        limit = IndicatorLimit(iv, args.a, args.b, spec.side).value()
     if args.n_list:
-        reference = args.reference
-        if reference is None:
-            reference = _dp_reference(L, theorem, args)
+        reference = limit if args.reference is None else args.reference
         if reference is None:
             raise ConfigError("convergence table needs --reference for this theorem")
         report = convergence_report(
@@ -289,14 +273,12 @@ def _run_dp(args, theorem=None) -> int:
     if args.n is None:
         raise ConfigError("need --n or --n-list")
     params["n"] = args.n
-    value = _dp_single(L, phi, theorem, args, rule)
+    value = spec.run(L, phi, rule, args)
     body = {"value": float(value)}
-    ref = _dp_reference(L, theorem, args)
-    if ref is not None:
-        body["limit_reference"] = ref
-        body["gap"] = abs(float(value) - ref)
-    _emit(args, _payload("dp", f"sup_dp_{theorem}" if theorem != "tilde"
-                         else "inf_dp_special_tilde", params, body))
+    if limit is not None:
+        body["limit_reference"] = limit
+        body["gap"] = abs(float(value) - limit)
+    _emit(args, _payload("dp", spec.operation, params, body))
     return EXIT_OK
 
 
@@ -415,12 +397,15 @@ def _run_report(args) -> int:
 # parser
 
 
-def _add_common(sub, *, seeded=False):
-    sub.add_argument("--config", help="INI config file; flags override its values")
+def _add_common(sub, *, seeded=False, formats=False, timing=False):
+    sub.add_argument("--config", nargs="?", const="",
+                     help="INI config file; flags override its values")
     sub.add_argument("--output", help="write the report here instead of stdout")
-    sub.add_argument("--format", choices=["json", "csv"], default="json")
-    sub.add_argument("--timing", action="store_true",
-                     help="include wall-clock columns (breaks byte-reproducibility)")
+    if formats:
+        sub.add_argument("--format", choices=["json", "csv"], default="json")
+    if timing:
+        sub.add_argument("--timing", action="store_true",
+                         help="include wall-clock columns (breaks byte-reproducibility)")
     if seeded:
         sub.add_argument("--seed", type=int, default=0)
 
@@ -468,28 +453,24 @@ def build_parser() -> argparse.ArgumentParser:
     pde.set_defaults(handler=_run_pde)
 
     dp = subs.add_parser("dp", help="worst-case dynamic programs")
-    dp.add_argument("--theorem",
-                    choices=["clt", "special", "tilde", "deviation", "lln", "scaled"],
-                    default="special")
+    dp.add_argument("--theorem", choices=list(_THEOREMS), default="special")
     dp.add_argument("--n", type=int, default=None)
-    dp.add_argument("--n-list", type=int, nargs="+", default=None, dest="n_list")
+    dp.add_argument("--n-list", type=int, nargs="+", default=[], dest="n_list")
     dp.add_argument("--reference", type=float, default=None)
     _add_statistic_flags(dp)
-    _add_common(dp)
+    _add_common(dp, formats=True, timing=True)
     dp.set_defaults(handler=_run_dp)
 
     lln = subs.add_parser("lln", help="worst-case sample-mean expectations")
     lln.add_argument("--n", type=int, default=None)
-    lln.add_argument("--n-list", type=int, nargs="+", default=None, dest="n_list")
+    lln.add_argument("--n-list", type=int, nargs="+", default=[], dest="n_list")
     lln.add_argument("--reference", type=float, default=None)
     _add_statistic_flags(lln)
-    _add_common(lln)
+    _add_common(lln, formats=True, timing=True)
     lln.set_defaults(handler=lambda args: _run_dp(args, theorem="lln"))
 
     mc = subs.add_parser("mc", help="seeded policy Monte Carlo")
-    mc.add_argument("--theorem",
-                    choices=["clt", "special", "tilde", "deviation", "lln", "scaled"],
-                    default="special")
+    mc.add_argument("--theorem", choices=list(_THEOREMS), default="special")
     mc.add_argument("--n", type=int, required=True)
     mc.add_argument("--paths", type=int, default=10000)
     mc.add_argument("--policy", default="threshold")
@@ -512,68 +493,57 @@ def build_parser() -> argparse.ArgumentParser:
     rep = subs.add_parser("report", help="run verification suites")
     rep.add_argument("--suite", choices=["acceptance"], default="acceptance")
     rep.add_argument("--criteria", help="comma-separated criterion ids, default all")
-    _add_common(rep)
+    _add_common(rep, timing=True)
     rep.set_defaults(handler=_run_report)
     return parser
 
 
-def _apply_config_file(parser, argv):
-    """Config-file values become parser defaults, keeping flag precedence."""
-    if "--config" not in argv:
-        return
-    at = argv.index("--config") + 1
-    if at == len(argv):
+# namespace entries that are not options a config file may set
+_NOT_OPTIONS = ("command", "handler", "config")
+
+
+def _config_argv(argv: list[str], args) -> list[str]:
+    """argv with the config file's values spliced in as flags right after
+    the subcommand: ``[global]`` first, then ``[<command>]``, so argparse's
+    last-wins rule gives defaults < global < command < flags.  Keys that are
+    not options of the subcommand are skipped; booleans take 1, true, yes."""
+    if not args.config:
         raise ConfigError("--config needs a file path")
-    path = argv[at]
     ini = configparser.ConfigParser()
-    read = ini.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-    command = next((tok for tok in argv if not tok.startswith("-")), None)
+    if not ini.read(args.config):
+        raise ConfigError(f"cannot read config file {args.config!r}")
     merged: dict = {}
-    for section in ("global", command or ""):
-        if section and ini.has_section(section):
+    for section in ("global", args.command):
+        if ini.has_section(section):
             merged.update(ini.items(section))
-    sub = next(
-        act for act in parser._actions if isinstance(act, argparse._SubParsersAction)
-    )
-    target = sub.choices.get(command)
-    if target is None or not merged:
-        return
-    typed = {}
-    for action in target._actions:
-        key = action.dest
-        if key in merged:
-            raw = merged[key]
-            if action.type is not None:
-                typed[key] = [action.type(tok) for tok in raw.split()] \
-                    if action.nargs == "+" else action.type(raw)
-            elif isinstance(action, argparse._StoreTrueAction):
-                typed[key] = raw.lower() in ("1", "true", "yes")
-            else:
-                typed[key] = raw
-    target.set_defaults(**typed)
+    tokens = []
+    for key, raw in merged.items():
+        if key in _NOT_OPTIONS or not hasattr(args, key):
+            continue
+        flag = "--" + key.replace("_", "-")
+        current = getattr(args, key)
+        if isinstance(current, bool):  # a store_true switch
+            if raw.lower() in ("1", "true", "yes"):
+                tokens.append(flag)
+        elif isinstance(current, list):  # nargs="+": the defaults are lists
+            tokens += [flag, *raw.split()]
+        else:
+            tokens.append(f"{flag}={raw}")
+    at = argv.index(args.command) + 1
+    return argv[:at] + tokens + argv[at:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            args = parser.parse_args(_config_argv(argv, args))
         return args.handler(args)
-    except ConfigError as exc:
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(_error_record(exc), file=sys.stderr)
-        return EXIT_CONFIG
-    except _CAPACITY_ERRORS as exc:
-        print(_error_record(exc), file=sys.stderr)
-        return EXIT_CAPACITY
-    except _NUMERIC_ERRORS as exc:
-        print(_error_record(exc), file=sys.stderr)
-        return EXIT_NUMERIC
-    except _DOMAIN_ERRORS as exc:
-        print(_error_record(exc), file=sys.stderr)
-        return EXIT_DOMAIN
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -79,8 +79,10 @@ def shift_reduce(iv: AmbiguityInterval) -> tuple[float, float]:
     return iv.kappa, iv.center
 
 
-def _upper_centered(kappa: float, a: float, b: float) -> float:
-    # symmetric case [-kappa, kappa]; branch point at a + b = 0
+def _centered_limit(kappa: float, a: float, b: float) -> float:
+    # upper limit in the symmetric case [-kappa, kappa], branch point at
+    # a + b = 0; with kappa negated the two means swap roles and it is the
+    # lower limit
     rate = -kappa * (b - a)
     if a + b >= 0.0:
         value = _std_cdf(kappa - a) - _exp_times_cdf(rate, kappa - b)
@@ -89,13 +91,17 @@ def _upper_centered(kappa: float, a: float, b: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _lower_centered(kappa: float, a: float, b: float) -> float:
-    rate = kappa * (b - a)
-    if a + b >= 0.0:
-        value = _std_cdf(-a - kappa) - _exp_times_cdf(rate, -b - kappa)
-    else:
-        value = _std_cdf(b - kappa) - _exp_times_cdf(rate, a - kappa)
-    return min(1.0, max(0.0, value))
+def _indicator_limit(iv: AmbiguityInterval, a: float, b: float, side: str) -> float:
+    if not a < b:
+        raise BadInterval(f"need a < b, got a={a!r}, b={b!r}")
+    if math.isinf(a) and math.isinf(b):
+        return 1.0
+    if math.isinf(a):
+        return one_sided_limit(iv, b, "left_tail", side)
+    if math.isinf(b):
+        return one_sided_limit(iv, a, "right_tail", side)
+    kappa, c = shift_reduce(iv)
+    return _centered_limit(kappa if side == "upper" else -kappa, a - c, b - c)
 
 
 def upper_indicator_limit(iv: AmbiguityInterval, a: float, b: float) -> float:
@@ -103,30 +109,12 @@ def upper_indicator_limit(iv: AmbiguityInterval, a: float, b: float) -> float:
 
     Infinite endpoints are accepted and collapse to the one-sided limits.
     """
-    if not a < b:
-        raise BadInterval(f"need a < b, got a={a!r}, b={b!r}")
-    if math.isinf(a) and math.isinf(b):
-        return 1.0
-    if math.isinf(a):
-        return one_sided_limit(iv, b, "left_tail", "upper")
-    if math.isinf(b):
-        return one_sided_limit(iv, a, "right_tail", "upper")
-    kappa, c = shift_reduce(iv)
-    return _upper_centered(kappa, a - c, b - c)
+    return _indicator_limit(iv, a, b, "upper")
 
 
 def lower_indicator_limit(iv: AmbiguityInterval, a: float, b: float) -> float:
     """Limiting best-case (lower) probability of the interval [a, b]."""
-    if not a < b:
-        raise BadInterval(f"need a < b, got a={a!r}, b={b!r}")
-    if math.isinf(a) and math.isinf(b):
-        return 1.0
-    if math.isinf(a):
-        return one_sided_limit(iv, b, "left_tail", "lower")
-    if math.isinf(b):
-        return one_sided_limit(iv, a, "right_tail", "lower")
-    kappa, c = shift_reduce(iv)
-    return _lower_centered(kappa, a - c, b - c)
+    return _indicator_limit(iv, a, b, "lower")
 
 
 def one_sided_limit(iv: AmbiguityInterval, b: float, direction: str, side: str) -> float:

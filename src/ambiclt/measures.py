@@ -31,7 +31,7 @@ class SupportMismatch(MeasureError):
 
 
 class VarianceAmbiguous(MeasureError):
-    """Per-law variances disagree beyond tolerance."""
+    """Per-law variances are not all equal."""
 
 
 class DegenerateSigma(MeasureError):
@@ -156,23 +156,21 @@ def interval(mu_lower: float, mu_upper: float, sigma: float = 1.0) -> AmbiguityI
     return AmbiguityInterval(mu_lower, mu_upper, sigma)
 
 
-def validate_measure_set(L: MeasureSet, tol_var: float = 1e-9) -> AmbiguityInterval:
+def validate_measure_set(L: MeasureSet) -> AmbiguityInterval:
     """Check the standing assumptions and extract (mu_lower, mu_upper, sigma).
 
     The mean interval is the exact min/max of per-law means.  Every law must
-    carry the same variance up to ``tol_var``; the first law's exact variance
-    is taken as the common sigma^2.
+    carry exactly the same variance, which is the common sigma^2.
 
     Raises
     ------
     VarianceAmbiguous
-        if per-law variances differ by more than ``tol_var``.
+        if the per-law variances are not all equal.
     DegenerateSigma
         if the common variance is zero.
     """
     variances = [law.variance() for law in L.laws]
-    spread = max(variances) - min(variances)
-    if spread > to_fraction(tol_var):
+    if len(set(variances)) > 1:
         raise VarianceAmbiguous(
             f"law variances span {float(min(variances))!r}..{float(max(variances))!r}"
         )

@@ -110,11 +110,6 @@ class TerminalFunction:
     def supports_exact(self) -> bool:
         return self.is_sharp
 
-    def bounds(self) -> tuple[float, float]:
-        if self.kind == "tabulated":
-            return min(self.values), max(self.values)
-        return 0.0, 1.0
-
     def breakpoints(self) -> tuple[float, ...]:
         """Kink/jump locations, for adaptive quadrature."""
         pts = []

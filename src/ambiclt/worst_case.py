@@ -55,14 +55,7 @@ from .terminal import TerminalFunction
 
 VARIANTS = tuple(INCREMENTS)
 
-DEFAULT_N_CAP = {
-    "clt": 60,
-    "scaled": 60,
-    "deviation": 60,
-    "special": 2000,
-    "tilde": 2000,
-    "lln": 2000,
-}
+DEFAULT_N_CAP = 2000
 DEFAULT_MAX_STATES = 4_000_000
 
 
@@ -300,7 +293,7 @@ def _dp_value(
     inc = increment(variant, alpha, beta)
     if n < 1:
         raise ValueError("n must be at least 1")
-    cap = DEFAULT_N_CAP[variant] if n_cap is None else n_cap
+    cap = DEFAULT_N_CAP if n_cap is None else n_cap
     if n > cap:
         raise StateExplosion(
             f"n={n} exceeds the {variant} cap of {cap}; pass n_cap to raise it"

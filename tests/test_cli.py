@@ -121,7 +121,7 @@ class TestErrorsAndExitCodes:
 
     def test_capacity_error_exits_5(self, capsys):
         code = run_cli(["dp", "--theorem", "clt", "--p", "0.6", "--q", "0.3",
-                        "--a", "-1", "--b", "1", "--n", "100"])
+                        "--a", "-1", "--b", "1", "--n", "2001"])
         assert code == 5
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "StateExplosion"
@@ -165,12 +165,21 @@ class TestReproducibility:
         assert one.read_bytes() != two.read_bytes()
 
 
+def usage_exit_code(args):
+    """The exit code of an argparse usage error, which exits instead of
+    returning."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    return exc.value.code
+
+
+COIN_INI = "[dp]\nn = 4\np = 0.6\nq = 0.3\na = -1\nb = 1\nc = 0\n"
+
+
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.ini"
-        cfg.write_text(
-            "[dp]\nn = 4\np = 0.6\nq = 0.3\na = -1\nb = 1\nc = 0\n"
-        )
+        cfg.write_text(COIN_INI)
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         assert run_cli(["dp", "--config", str(cfg), "--theorem", "special",
                         "--output", str(out1)]) == 0
@@ -179,6 +188,14 @@ class TestConfigFile:
         assert json.loads(out1.read_text())["config"]["n"] == 4
         assert json.loads(out2.read_text())["config"]["n"] == 6
 
+    def test_both_config_spellings_write_the_same_bytes(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(COIN_INI)
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_cli(["dp", "--config", str(cfg), "--output", str(out1)]) == 0
+        assert run_cli(["dp", f"--config={cfg}", "--output", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_missing_config_file(self, capsys):
         assert run_cli(["dp", "--config", "/nonexistent.ini", "--n", "3"]) == 2
 
@@ -186,6 +203,55 @@ class TestConfigFile:
         assert run_cli(["dp", "--config"]) == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("line", ["n = abc", "n = 4 5", "theorem = bogus", "c = x"])
+    def test_bad_value_is_a_usage_error(self, tmp_path, line):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[dp]\np = 0.6\nq = 0.3\na = -1\nb = 1\n{line}\n")
+        assert usage_exit_code(["dp", "--config", str(cfg)]) == 2
+
+    def test_sections_keys_lists_and_booleans(self, tmp_path):
+        # [global] seed is not a dp option and is skipped; [dp] c overrides
+        # [global] c; list values split on whitespace; yes switches --timing on
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            "[global]\nseed = 5\np = 0.6\nq = 0.3\na = -1\nb = 1\nc = 1\n"
+            "[dp]\nc = 0\nn_list = 4 8\ntiming = yes\nformat = csv\n"
+        )
+        out = tmp_path / "conv.csv"
+        assert run_cli(["dp", "--config", str(cfg), "--output", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "theorem,n,value,reference,gap,runtime_s"
+        assert [line.split(",")[1] for line in lines[1:]] == ["4", "8"]
+        L = coin_example("0.6", "0.3")
+        rule = SwitchRule(0.0, validate_measure_set(L))
+        want = float(sup_dp_special(L, TerminalFunction.indicator(-1, 1), 8, rule,
+                                    value_mode="float"))
+        assert lines[2].split(",")[2] == repr(want)
+
+    def test_flag_overrides_both_sections(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[global]\nn = 3\n" + COIN_INI)
+        out = tmp_path / "dp.json"
+        assert run_cli(["dp", "--config", str(cfg), "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["n"] == 4
+        assert run_cli(["dp", "--config", str(cfg), "--n", "5", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["n"] == 5
+
+    def test_list_option_with_a_default(self, tmp_path):
+        cfg = tmp_path / "pde.ini"
+        cfg.write_text("[pde]\neps = 0.2 0.1\na = -1\nb = 1\nnx = 201\nnt = 200\n")
+        out = tmp_path / "pde.json"
+        assert run_cli(["pde", "--kappa", "0.3", "--config", str(cfg),
+                        "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["eps"] == [0.2, 0.1]
+
+
+class TestPerCommandFlags:
+    @pytest.mark.parametrize("flag", [["--format", "csv"], ["--timing"]])
+    def test_closed_form_takes_neither_format_nor_timing(self, flag):
+        argv = ["closed-form", "--mu-lo", "-0.3", "--mu-hi", "0.3", "--a", "-1", "--b", "1"]
+        assert usage_exit_code(argv + flag) == 2
 
 
 class TestHyptestCommand:

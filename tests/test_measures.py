@@ -73,7 +73,19 @@ class TestValidateMeasureSet:
             )
         )
         with pytest.raises(VarianceAmbiguous):
-            validate_measure_set(L, tol_var=1e-9)
+            validate_measure_set(L)
+
+    def test_variance_mismatch_below_1e9_rejected(self):
+        # variances 81/100 and 8100000001/10000000000: a tolerance of 1e-9
+        # let this pair through, with sigma^2 set by whichever law came first
+        L = MeasureSet(
+            (
+                DiscreteMeasure(VALUES, ("0.6", "0.3", "0.1")),
+                DiscreteMeasure(VALUES, ("0.30000000005", "0.60000000005", "0.0999999999")),
+            )
+        )
+        with pytest.raises(VarianceAmbiguous):
+            validate_measure_set(L)
 
     def test_degenerate_sigma(self):
         L = MeasureSet((DiscreteMeasure((2,), ("1",)),))
@@ -120,7 +132,7 @@ class TestCoinExample:
             (Fraction(3, 5), Fraction(3, 10), Fraction(1, 10)),
             (Fraction(3, 10), Fraction(3, 5), Fraction(1, 10)),
         ]
-        iv = validate_measure_set(L, tol_var=1e-12)
+        iv = validate_measure_set(L)
         assert iv.kappa == 0.3
         assert iv.sigma_sq == Fraction(81, 100)
 
@@ -147,8 +159,8 @@ class TestCoinExample:
         if q <= 0 or p + q > 1:
             return
         L = coin_example(p, q)
-        # analytically identical variances: passes the tightest tolerance
-        iv = validate_measure_set(L, tol_var=1e-12)
+        # analytically identical variances: exactly equal as Fractions
+        iv = validate_measure_set(L)
         assert iv.sigma_sq == p + q - (p - q) ** 2
 
 

@@ -350,7 +350,11 @@ class TestCaps:
 
     def test_horizon_cap_raises(self):
         with pytest.raises(StateExplosion):
-            sup_dp_clt(COIN, BOX, 61)
+            sup_dp_clt(COIN, BOX, 2001)
+
+    def test_law_mean_variants_share_the_horizon_cap(self):
+        # one cap for every variant; clt at n = 100 takes well under a second
+        assert 0 < sup_dp_clt(COIN, BOX, 100, value_mode="float") < 1
 
     def test_frozen_rule_and_lln_reach_the_horizon_cap(self):
         # one center per step, so a layer is a single column of 2m + 1 cells
