@@ -227,6 +227,10 @@ _THEOREMS = {
 }
 
 
+# columns of the dp/lln CSV: one row per horizon, a single --n gives one row
+_CSV_HEADER = ("theorem", "n", "value", "reference", "gap")
+
+
 def _run_dp(args, theorem=None) -> int:
     theorem = theorem or args.theorem
     L = _measure_set(args)
@@ -252,7 +256,7 @@ def _run_dp(args, theorem=None) -> int:
             rule=rule, alpha=repr(args.alpha_scale), beta=repr(args.beta_scale),
             minimize=(theorem == "tilde"),
         )
-        header = ["theorem", "n", "value", "reference", "gap"]
+        header = list(_CSV_HEADER)
         rows = [[theorem, r.n, repr(r.value), repr(report.limit_reference), repr(r.gap)]
                 for r in report.rows]
         if args.timing:
@@ -275,10 +279,13 @@ def _run_dp(args, theorem=None) -> int:
     params["n"] = args.n
     value = spec.run(L, phi, rule, args)
     body = {"value": float(value)}
+    row = [theorem, args.n, repr(float(value)), "", ""]
     if limit is not None:
         body["limit_reference"] = limit
         body["gap"] = abs(float(value) - limit)
-    _emit(args, _payload("dp", spec.operation, params, body))
+        row[3:] = [repr(limit), repr(body["gap"])]
+    _emit(args, _payload("dp", spec.operation, params, body),
+          csv_rows=[row], csv_header=_CSV_HEADER)
     return EXIT_OK
 
 
@@ -423,6 +430,25 @@ def _add_statistic_flags(sub):
     sub.add_argument("--beta-scale", type=float, default=1.0, dest="beta_scale")
 
 
+def _add_required(sub, flag, **kw):
+    """An option the subcommand cannot run without.  argparse would check
+    it while parsing argv, before main splices a config file in, so it is
+    declared optional and :func:`_check_required` checks it afterwards."""
+    action = sub.add_argument(flag, default=None,
+                              help="required; may come from the config file", **kw)
+    required = sub.get_default("required") or ()
+    sub.set_defaults(parser=sub, required=(*required, action))
+
+
+def _check_required(args) -> None:
+    """argparse's own error for required options still missing after the
+    config splice: usage text, message, exit 2."""
+    missing = ["/".join(action.option_strings) for action in getattr(args, "required", ())
+               if getattr(args, action.dest) is None]
+    if missing:
+        args.parser.error("the following arguments are required: " + ", ".join(missing))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ambiclt",
@@ -432,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     cf = subs.add_parser("closed-form", help="closed-form indicator limits")
-    cf.add_argument("--mu-lo", type=float, required=True, dest="mu_lo")
-    cf.add_argument("--mu-hi", type=float, required=True, dest="mu_hi")
+    _add_required(cf, "--mu-lo", type=float, dest="mu_lo")
+    _add_required(cf, "--mu-hi", type=float, dest="mu_hi")
     cf.add_argument("--a", type=float, default=None)
     cf.add_argument("--b", type=float, default=None)
     cf.add_argument("--side", choices=["upper", "lower"], default="upper")
@@ -441,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     cf.set_defaults(handler=_run_closed_form)
 
     pde = subs.add_parser("pde", help="g-expectation PDE solves")
-    pde.add_argument("--kappa", type=float, required=True)
+    _add_required(pde, "--kappa", type=float)
     pde.add_argument("--eps", type=float, nargs="+", default=[0.2, 0.1, 0.05, 0.025])
     pde.add_argument("--a", type=float, default=None)
     pde.add_argument("--b", type=float, default=None)
@@ -471,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mc = subs.add_parser("mc", help="seeded policy Monte Carlo")
     mc.add_argument("--theorem", choices=list(_THEOREMS), default="special")
-    mc.add_argument("--n", type=int, required=True)
+    _add_required(mc, "--n", type=int)
     mc.add_argument("--paths", type=int, default=10000)
     mc.add_argument("--policy", default="threshold")
     _add_statistic_flags(mc)
@@ -479,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.set_defaults(handler=_run_mc)
 
     hyp = subs.add_parser("hyptest", help="robust hypothesis testing")
-    hyp.add_argument("--kappa", type=float, required=True)
+    _add_required(hyp, "--kappa", type=float)
     hyp.add_argument("--sigma", type=float, default=1.0)
     hyp.add_argument("--alpha", type=float, default=0.05)
     hyp.add_argument("--xi", type=float, default=0.0)
@@ -499,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # namespace entries that are not options a config file may set
-_NOT_OPTIONS = ("command", "handler", "config")
+_NOT_OPTIONS = ("command", "handler", "config", "parser", "required")
 
 
 def _config_argv(argv: list[str], args) -> list[str]:
@@ -540,6 +566,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config is not None:
             args = parser.parse_args(_config_argv(argv, args))
+        _check_required(args)
         return args.handler(args)
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(_error_record(exc), file=sys.stderr)

@@ -10,10 +10,14 @@ approximation of kappa*|z| whose value at 0 vanishes and whose slope is
 bounded by kappa.  The value at (0, x0) is the nonlinear expectation of
 phi(x0 + B_1) under mean ambiguity of half-width kappa.
 
-Time marching is implicit in the diffusion (unconditionally stable banded
-solve) and explicit in the gradient nonlinearity, centered differences by
-default with a monotone upwind fallback if the discrete min/max bound is
-ever violated.  Artificial boundaries use zero-slope conditions, which is
+Time marching is implicit in the diffusion and explicit in the gradient
+nonlinearity.  The diffusion matrix is constant, so each march factors it
+once (LAPACK ``gttrf``) and every step is one tridiagonal back-substitution
+(``gttrs``).  The several eps of :func:`epsilon_extrapolate` march together
+as the columns of one block, one right-hand side each.  Gradients are
+centered differences by default, with a monotone upwind fallback for a
+column whose discrete min/max bound is ever violated; that column alone is
+re-marched.  Artificial boundaries use zero-slope conditions, which is
 consistent with terminal data that flatten at infinity.
 """
 
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .measures import AmbiguityInterval
 from .terminal import TerminalFunction
@@ -71,13 +75,17 @@ class GeneratorSpec:
             raise ValueError("epsilon must be nonnegative")
 
     def g(self, z: np.ndarray) -> np.ndarray:
-        """g_eps(z) = kappa*(sqrt(z^2 + eps^2) - eps); kappa*|z| at eps = 0.
+        """g_eps(z) = kappa*(sqrt(z^2 + eps^2) - eps); kappa*|z| at eps = 0."""
+        return _generator(z, self.kappa, self.epsilon)
 
-        hypot keeps g(0) exactly zero, so constants stay fixed points.
-        """
-        if self.epsilon == 0.0:
-            return self.kappa * np.abs(z)
-        return self.kappa * (np.hypot(z, self.epsilon) - self.epsilon)
+
+def _generator(z: np.ndarray, kappa: float, eps) -> np.ndarray:
+    """kappa*(sqrt(z^2 + eps^2) - eps), eps broadcast against z.
+
+    hypot keeps g(0) exactly zero, so constants stay fixed points, and
+    hypot(z, 0) is |z| exactly, so eps = 0 gives kappa*|z| bit for bit.
+    """
+    return kappa * (np.hypot(z, eps) - eps)
 
 
 @dataclass(frozen=True)
@@ -110,72 +118,100 @@ class PdeGrid:
         return np.linspace(self.x_min, self.x_max, self.nx)
 
 
-def _banded_matrix(nx: int, r: float) -> np.ndarray:
-    """(I - dt/2 * D2) with zero-slope boundaries, in solve_banded layout."""
-    ab = np.zeros((3, nx))
-    ab[0, 1:] = -0.5 * r
-    ab[1, :] = 1.0 + r
-    ab[2, :-1] = -0.5 * r
-    ab[0, 1] = -r  # ghost-node reflection at the two ends
-    ab[2, -2] = -r
-    return ab
+def _tridiagonal(nx: int, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(I - dt/2 * D2) with zero-slope boundaries: sub-, main and super-diagonal."""
+    dl = np.full(nx - 1, -0.5 * r)
+    d = np.full(nx, 1.0 + r)
+    du = np.full(nx - 1, -0.5 * r)
+    du[0] = -r  # ghost-node reflection at the two ends
+    dl[-1] = -r
+    return dl, d, du
 
 
 def _march(
-    v: np.ndarray,
-    gen: GeneratorSpec,
-    grid: PdeGrid,
-    duration: float,
+    v0: np.ndarray,
+    kappa: float,
+    eps: np.ndarray,
+    lu: tuple,
+    dx: float,
+    dt: float,
     steps: int,
     scheme: str,
-) -> np.ndarray:
-    if steps == 0 or duration == 0.0:
-        return v.copy()
-    dx = grid.dx
-    dt = duration / steps
-    if gen.kappa * dt > dx:
-        raise UnstableGrid(
-            f"dt*kappa = {gen.kappa * dt:.3g} exceeds dx = {dx:.3g}; refine nt"
-        )
-    ab = _banded_matrix(grid.nx, dt / (dx * dx))
-    lo = float(np.min(v))
-    hi = float(np.max(v))
+) -> tuple[np.ndarray, np.ndarray]:
+    """March v0 backward ``steps`` times, once per entry of ``eps``, as the
+    columns of one Fortran-ordered (nx, k) block solved against the LU
+    factors ``lu``.  Returns the block and a mask of the columns that kept
+    the discrete max principle; a column that breaks it stops marching, and
+    its entries in the block are meaningless."""
+    lo = float(np.min(v0))
+    hi = float(np.max(v0))
     slack = 1e-8 * (1.0 + abs(hi) + abs(lo))
-    out = v.copy()
+    k = len(eps)
+    out = np.tile(v0, (k, 1)).T
+    active = np.arange(k)
     for _ in range(steps):
+        grad = np.zeros_like(out)
         if scheme == "centered":
-            grad = np.zeros_like(out)
             grad[1:-1] = (out[2:] - out[:-2]) / (2.0 * dx)
-            ham = gen.g(grad)
         else:  # monotone upwind: slope = max(-D^-, D^+, 0)
-            slope = np.zeros_like(out)
             backward = np.empty_like(out)
             forward = np.empty_like(out)
             backward[1:] = (out[1:] - out[:-1]) / dx
             backward[0] = 0.0
             forward[:-1] = (out[1:] - out[:-1]) / dx
             forward[-1] = 0.0
-            np.maximum(-backward, forward, out=slope)
-            np.maximum(slope, 0.0, out=slope)
-            ham = gen.g(slope)
-        rhs = out + dt * ham
-        out = solve_banded((1, 1), ab, rhs, overwrite_b=True, check_finite=False)
-        if out.min() < lo - slack or out.max() > hi + slack:
-            raise _MaxPrincipleViolated()
-    return out
+            np.maximum(-backward, forward, out=grad)
+            np.maximum(grad, 0.0, out=grad)
+        ham = _generator(grad, kappa, eps)
+        out, _ = dgttrs(*lu, out + dt * ham, overwrite_b=True)
+        bad = (out.min(axis=0) < lo - slack) | (out.max(axis=0) > hi + slack)
+        if bad.any():
+            active, eps, out = active[~bad], eps[~bad], np.asfortranarray(out[:, ~bad])
+            if not active.size:
+                break
+    block = np.empty((len(v0), k), order="F")
+    block[:, active] = out
+    return block, np.isin(np.arange(k), active)
 
 
 class _MaxPrincipleViolated(Exception):
     pass
 
 
+def _solve_profiles(
+    v0: np.ndarray, kappa: float, eps, grid: PdeGrid, duration: float, steps: int
+) -> np.ndarray:
+    """u(0, .) from terminal data v0 over ``duration``, one column per eps.
+
+    The matrix is factored once; the columns march centered as one block,
+    and a column that breaks the max principle is re-marched alone with the
+    monotone upwind scheme from v0, leaving the other columns as they are.
+    """
+    eps = np.asarray(eps, dtype=float)
+    if steps == 0 or duration == 0.0:
+        return np.tile(v0, (len(eps), 1)).T
+    dx = grid.dx
+    dt = duration / steps
+    if kappa * dt > dx:
+        raise UnstableGrid(
+            f"dt*kappa = {kappa * dt:.3g} exceeds dx = {dx:.3g}; refine nt"
+        )
+    *lu, info = dgttrf(*_tridiagonal(grid.nx, dt / (dx * dx)))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal factorization failed (info={info})")
+    block, ok = _march(v0, kappa, eps, lu, dx, dt, steps, "centered")
+    for j in np.flatnonzero(~ok):
+        column, fine = _march(v0, kappa, eps[j:j + 1], lu, dx, dt, steps, "upwind")
+        if not fine[0]:
+            raise _MaxPrincipleViolated()
+        block[:, j] = column[:, 0]
+    return block
+
+
 def _solve_profile(
     v0: np.ndarray, gen: GeneratorSpec, grid: PdeGrid, duration: float, steps: int
 ) -> np.ndarray:
-    try:
-        return _march(v0, gen, grid, duration, steps, "centered")
-    except _MaxPrincipleViolated:
-        return _march(v0, gen, grid, duration, steps, "upwind")
+    return _solve_profiles(v0, gen.kappa, [gen.epsilon], grid, duration, steps)[:, 0]
 
 
 def _terminal_samples(phi: TerminalFunction, grid: PdeGrid) -> np.ndarray:
@@ -244,7 +280,9 @@ def epsilon_extrapolate(
     if any(b >= a for a, b in zip(eps, eps[1:])) or eps[-1] < 0:
         raise ValueError("eps_sequence must be strictly decreasing and nonnegative")
 
-    values = [solve_g_expectation(phi, GeneratorSpec(kappa, e), grid, x0) for e in eps]
+    GeneratorSpec(kappa, eps[-1])  # validates kappa
+    profiles = _solve_profiles(_terminal_samples(phi, grid), kappa, eps, grid, 1.0, grid.nt)
+    values = [_interp(grid, profiles[:, j], x0) for j in range(len(eps))]
     if len(eps) == 1:
         extrapolated = values[-1]
     else:

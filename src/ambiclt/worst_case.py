@@ -667,6 +667,13 @@ def builtin_policies(L: MeasureSet, rule: SwitchRule) -> list[DriftPolicy]:
     ]
 
 
+# paths simulated at once: the draws held are one float64 array of this many
+# rows by n, whatever the path count.  A step reads a strided column of it; a
+# step-major copy of each chunk saved about 5% of the time on 100k-path runs
+# but doubled the memory.
+_CHUNK_PATHS = 8192
+
+
 def simulate_statistic_values(
     L: MeasureSet,
     policy: DriftPolicy,
@@ -681,9 +688,14 @@ def simulate_statistic_values(
 ) -> np.ndarray:
     """Terminal statistic values for seeded sample paths under a policy.
 
-    Randomness comes from one counter-based Philox stream keyed by ``seed``;
-    row i of the draw matrix is the substream of path i, so results are
-    reproducible bit for bit and independent of scheduling.
+    Randomness comes from one counter-based Philox stream keyed by
+    ``seed``: path i takes uniforms i*n ... i*n + n - 1 of the stream, its
+    step m the (m-1)-th of them.  Paths are simulated in chunks of
+    consecutive rows, so memory is bounded by the chunk, not by ``paths``.
+    The policy sees one chunk's statistic values at a time, so a policy
+    that decides each path from its own value (every builtin one does)
+    gives the same values bit for bit in any chunking.  Only the chosen
+    law's outcome is drawn: the inverse CDF of that law at the uniform.
     """
     inc = increment(variant, alpha, beta)
     if n < 1:
@@ -695,22 +707,32 @@ def simulate_statistic_values(
     sigma = float(iv.sigma)
     values = np.array([float(v) for v in L.values])
     centers = np.array([float(c) for c in inc.law_centers(L.means())])
-    cdfs = [np.cumsum([float(p) for p in law.probs]) for law in L.laws]
+    # column c: every law's CDF at outcome c; the last column (1) is never needed
+    cdf_columns = np.array([np.cumsum([float(p) for p in law.probs]) for law in L.laws]).T[:-1]
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    uniforms = rng.random((paths, n))
-    M = np.zeros(paths)
-    for m in range(1, n + 1):
-        idx = np.asarray(policy.fn(m, M, n), dtype=int)
-        u = uniforms[:, m - 1]
-        draws = np.stack([values[np.searchsorted(cdf, u, side="right")] for cdf in cdfs])
-        x = draws[idx, np.arange(paths)]
-        if inc.switching:
-            mu = rule.mean(M, rule.threshold(m, n), inc.tilde)
-        else:
-            mu = centers[idx]
-        M = inc.advance(M, x, mu, n, sigma)
-    return M
+    chunk = min(_CHUNK_PATHS, paths)
+    draws = np.empty((chunk, n))  # one row per path, reused by every chunk
+    out = np.empty(paths)
+    for start in range(0, paths, chunk):
+        rows = min(chunk, paths - start)
+        uniforms = draws[:rows]
+        rng.random(out=uniforms)
+        M = np.zeros(rows)
+        for m in range(1, n + 1):
+            idx = np.asarray(policy.fn(m, M, n), dtype=int)
+            u = uniforms[:, m - 1]
+            outcome = np.zeros(rows, dtype=np.intp)
+            for column in cdf_columns:  # searchsorted(cdf, u, side="right")
+                outcome += column[idx] <= u
+            x = values[outcome]
+            if inc.switching:
+                mu = rule.mean(M, rule.threshold(m, n), inc.tilde)
+            else:
+                mu = centers[idx]
+            M = inc.advance(M, x, mu, n, sigma)
+        out[start:start + rows] = M
+    return out
 
 
 @dataclass(frozen=True)

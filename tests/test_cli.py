@@ -90,6 +90,32 @@ class TestDpCommand:
         # runtime column only with --timing
         assert "runtime" not in lines[0]
 
+    def test_single_horizon_csv_is_one_table_row(self, tmp_path):
+        out = tmp_path / "one.csv"
+        code = run_cli([
+            "dp", "--theorem", "special", "--p", "0.6", "--q", "0.3",
+            "--a", "-1", "--b", "1", "--n", "4", "--format", "csv", "--output", str(out),
+        ])
+        assert code == 0
+        L = coin_example("0.6", "0.3")
+        iv = validate_measure_set(L)
+        value = float(sup_dp_special(L, TerminalFunction.indicator("-1.0", "1.0"), 4,
+                                     SwitchRule(0.0, iv)))
+        limit = upper_indicator_limit(iv, -1.0, 1.0)
+        assert out.read_text().splitlines() == [
+            "theorem,n,value,reference,gap",
+            f"special,4,{value!r},{limit!r},{abs(value - limit)!r}",
+        ]
+
+    def test_single_horizon_csv_without_a_limit(self, tmp_path):
+        out = tmp_path / "one.csv"
+        assert run_cli(["dp", "--theorem", "deviation", "--p", "0.6", "--q", "0.3",
+                        "--a", "-1", "--b", "1", "--n", "3", "--format", "csv",
+                        "--output", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        assert header == "theorem,n,value,reference,gap"
+        assert row.startswith("deviation,3,") and row.endswith(",,")
+
     def test_measure_file_input(self, tmp_path):
         mfile = tmp_path / "laws.txt"
         mfile.write_text("1:0.6 -1:0.3 0:0.1\n1:0.3 -1:0.6 0:0.1\n")
@@ -237,6 +263,29 @@ class TestConfigFile:
         assert json.loads(out.read_text())["config"]["n"] == 4
         assert run_cli(["dp", "--config", str(cfg), "--n", "5", "--output", str(out)]) == 0
         assert json.loads(out.read_text())["config"]["n"] == 5
+
+    def test_config_supplies_a_required_option(self, tmp_path):
+        cfg = tmp_path / "k.ini"
+        cfg.write_text("[pde]\nkappa = 0.3\n")
+        argv = ["pde", "--a", "-1", "--b", "1", "--nx", "201", "--nt", "200"]
+        from_file, from_flag = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_cli(argv + ["--config", str(cfg), "--output", str(from_file)]) == 0
+        assert run_cli(argv + ["--kappa", "0.3", "--output", str(from_flag)]) == 0
+        assert from_file.read_bytes() == from_flag.read_bytes()
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["pde", "--a", "-1", "--b", "1"], "--kappa"),
+        (["closed-form"], "--mu-lo, --mu-hi"),
+        (["mc", "--p", "0.6", "--q", "0.3", "--a", "-1"], "--n"),
+        (["hyptest"], "--kappa"),
+    ])
+    def test_missing_required_option_is_a_usage_error(self, tmp_path, capsys, argv, flags):
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text("[global]\nseed = 3\n")
+        for extra in ([], ["--config", str(cfg)]):
+            assert usage_exit_code(argv + extra) == 2
+            err = capsys.readouterr().err
+            assert f"ambiclt {argv[0]}: error: the following arguments are required: {flags}" in err
 
     def test_list_option_with_a_default(self, tmp_path):
         cfg = tmp_path / "pde.ini"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ambiclt import pde
 from ambiclt.closed_form import lower_indicator_limit, normal_cdf, upper_indicator_limit
 from ambiclt.measures import interval
 from ambiclt.pde import (
@@ -139,6 +140,34 @@ class TestEpsExtrapolation:
         phi = TerminalFunction.smoothed_indicator(-1, 1, 0.05)
         with pytest.raises(ValueError):
             epsilon_extrapolate(phi, 0.3, COARSE, [0.1, 0.2])
+
+
+class TestUpwindFallback:
+    # kappa = 2 on 41 nodes: the centered march breaks the max principle in
+    # the eps = 0.05 column of this sweep but not in the eps = 0.2 column
+    GRID = PdeGrid(-10.0, 10.0, 41, 20)
+    PHI = TerminalFunction.smoothed_indicator(-1, 1, 0.05)
+    SWEEP = [0.2, 0.05]
+
+    def test_sweep_values_equal_single_solves_bit_for_bit(self):
+        res = epsilon_extrapolate(self.PHI, 2.0, self.GRID, self.SWEEP)
+        singles = tuple(solve_g_expectation(self.PHI, GeneratorSpec(2.0, e), self.GRID, 0.0)
+                        for e in self.SWEEP)
+        assert res.values == singles
+
+    def test_only_the_violating_column_is_re_marched_upwind(self, monkeypatch):
+        calls = []
+        march = pde._march
+
+        def spy(v0, kappa, eps, *args):
+            block, ok = march(v0, kappa, eps, *args)
+            calls.append((args[-1], eps.tolist(), ok.tolist()))
+            return block, ok
+
+        monkeypatch.setattr(pde, "_march", spy)
+        epsilon_extrapolate(self.PHI, 2.0, self.GRID, self.SWEEP)
+        assert calls == [("centered", [0.2, 0.05], [True, False]),
+                         ("upwind", [0.05], [True])]
 
 
 class TestDppCheck:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ambiclt import worst_case
 from ambiclt._exact import ExactValue
 from ambiclt.measures import DiscreteMeasure, MeasureSet, coin_example, validate_measure_set
 from ambiclt.statistics import LAW_MEAN, SwitchRule, increment
@@ -367,6 +368,42 @@ class TestCaps:
             sup_dp_clt(COIN, BOX, 5, n_cap=4)
         value = sup_dp_clt(COIN, BOX, 5, n_cap=5, value_mode="exact")
         assert value == enumerate_worst_case(COIN, BOX, 5, "clt")
+
+
+def all_laws_statistic_values(L, policy, variant, n, paths, seed, rule=None):
+    """Reference simulation: the whole paths x n draw matrix at once, and
+    every law's outcome drawn at every step before the policy picks one."""
+    inc = increment(variant)
+    sigma = float(validate_measure_set(L).sigma)
+    values = np.array([float(v) for v in L.values])
+    centers = np.array([float(c) for c in inc.law_centers(L.means())])
+    cdfs = [np.cumsum([float(p) for p in law.probs]) for law in L.laws]
+    uniforms = np.random.Generator(np.random.Philox(key=seed)).random((paths, n))
+    M = np.zeros(paths)
+    for m in range(1, n + 1):
+        idx = np.asarray(policy.fn(m, M, n), dtype=int)
+        draws = np.stack([values[np.searchsorted(cdf, uniforms[:, m - 1], side="right")]
+                          for cdf in cdfs])
+        x = draws[idx, np.arange(paths)]
+        mu = rule.mean(M, rule.threshold(m, n), inc.tilde) if inc.switching else centers[idx]
+        M = inc.advance(M, x, mu, n, sigma)
+    return M
+
+
+class TestMonteCarloChunks:
+    PATHS = 23
+
+    @pytest.mark.parametrize("chunk", [1, 7, PATHS])
+    @pytest.mark.parametrize("L", [COIN, THREE], ids=["coin", "three-laws"])
+    def test_values_match_the_all_laws_simulation(self, monkeypatch, L, chunk):
+        monkeypatch.setattr(worst_case, "_CHUNK_PATHS", chunk)
+        rule = SwitchRule(0.0, validate_measure_set(L))
+        for variant in VARIANTS:
+            for k, pol in enumerate(builtin_policies(L, rule)):
+                want = all_laws_statistic_values(L, pol, variant, 9, self.PATHS, 40 + k, rule)
+                got = simulate_statistic_values(L, pol, variant, 9, self.PATHS, 40 + k,
+                                                rule=rule)
+                assert np.array_equal(got, want), (variant, pol.label)
 
 
 class TestMonteCarlo:
