@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -60,7 +61,17 @@ class SwitchRule:
         return float(self.interval.mu_lower), float(self.interval.mu_upper)
 
     def exact_mean_pair(self) -> tuple[Fraction, Fraction]:
+        return self._exact_means
+
+    # computed once per rule: the exact fold asks for them at every step
+    @cached_property
+    def _exact_means(self) -> tuple[Fraction, Fraction]:
         return to_fraction(self.interval.mu_lower), to_fraction(self.interval.mu_upper)
+
+    @cached_property
+    def _exact_mid_and_center(self) -> tuple[Fraction, Fraction]:
+        lo, hi = self._exact_means
+        return (lo + hi) / 2, to_fraction(self.center)
 
     def threshold(self, m: int, n: int) -> float:
         """Threshold compared against M_{m-1} when choosing mu_m."""
@@ -73,8 +84,8 @@ class SwitchRule:
         """The threshold as a Fraction; the sentinel centers return +/-inf."""
         if math.isinf(self.center):
             return self.center
-        lo, hi = self.exact_mean_pair()
-        return -(lo + hi) / 2 * (1 - Fraction(m - 1, n)) + to_fraction(self.center)
+        mid, center = self._exact_mid_and_center
+        return -mid * (1 - Fraction(m - 1, n)) + center
 
     def upper(self, M, threshold, tilde: bool = False):
         """Whether mu_m is the upper mean, given M_{m-1} and the step's
@@ -319,6 +330,8 @@ def condition1_diagnostic(
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     from . import worst_case  # deferred: worst_case imports this module
 
     mu_lo, mu_hi = L.mean_bounds()

@@ -53,7 +53,8 @@ class TerminalFunction:
         """Closed-interval indicator of [a, b]; endpoints may be +/-inf."""
         af, a_exact = cls._endpoint(a)
         bf, b_exact = cls._endpoint(b)
-        if not af < bf:
+        # compared exactly where possible: close endpoints may round together
+        if not (af if a_exact is None else a_exact) < (bf if b_exact is None else b_exact):
             raise ValueError(f"need a < b, got {a!r}, {b!r}")
         return cls("indicator", a=af, b=bf, a_exact=a_exact, b_exact=b_exact)
 

@@ -463,27 +463,28 @@ def sup_dp_lln(L: MeasureSet, phi: TerminalFunction, n: int, **kw):
 
 def band_probability_sup(L: MeasureSet, n: int, m: int, delta, rule: SwitchRule) -> float:
     """Worst-case probability that M~_{m-1,n} sits within delta of its
-    switching threshold (the band event of the switching-gap diagnostic)."""
+    switching threshold (the band event of the switching-gap diagnostic).
+
+    The band is the closed indicator of [threshold - delta, threshold +
+    delta] with the exact rational endpoints of
+    :meth:`SwitchRule.threshold_exact` and ``delta``, so the float filter of
+    the dynamic program decides every terminal cell exactly.  ``delta`` must
+    be positive.
+    """
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
+    d = to_fraction(delta)
+    if not d > 0:
+        raise ValueError("delta must be positive")
     if math.isinf(rule.center):
         return 0.0
     model = _prepare(L)
     _check_rule("tilde", rule, L)
     thr = rule.threshold_exact(m, n)
-    d = to_fraction(delta)
-    lo, hi = thr - d, thr + d
-    s = Fraction(n) * model.sigma_sq
-
-    def band(u: Fraction, w: Fraction) -> float:
-        ev = ExactValue(u, w, s)
-        return 1.0 if ev.cmp(lo) >= 0 and ev.cmp(hi) <= 0 else 0.0
-
+    band = TerminalFunction.indicator(thr - d, thr + d)
     if m == 1:
-        return band(Fraction(0), Fraction(0))
-    return _dp_value(
-        L, None, n, "tilde", rule=rule, steps=m - 1, terminal=band, value_mode="float"
-    )
+        return float(band.evaluate_exact(ExactValue.zero(Fraction(n) * model.sigma_sq)))
+    return _dp_value(L, band, n, "tilde", rule=rule, steps=m - 1, value_mode="float")
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +554,23 @@ def product_model_value(
 ) -> float:
     """Best value over product measures: one law per coordinate, the same at
     every history.  Increments are exchangeable, so only the multiset of law
-    choices matters and each candidate is evaluated by exact convolution."""
+    choices matters and each candidate is evaluated by exact convolution.
+
+    The candidates are the compositions of n over the laws in lexicographic
+    order, each applying law 0 first, then law 1, and so on; compositions
+    that begin with the same law choices share the distribution of that
+    prefix.  A distribution is an array of exact-state ids in order of first
+    arrival with their float probabilities.  A step adds parent probability
+    times outcome probability into each child, in (parent, outcome) order,
+    and the expectation sums the states in order, so every float is the one
+    a dict keyed by state, filled in that order, would hold.  Each state's
+    moves and terminal payoff are computed once.
+    """
     inc = increment(variant, alpha, beta)
     if inc.switching:
         raise ValueError("product model applies to the non-switching variants")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     model = _prepare(L)
     s = Fraction(n) * model.sigma_sq
     root = sqrt_exact(s)
@@ -565,39 +579,74 @@ def product_model_value(
     if n_multisets * n > 200_000:
         raise ValueError("too many law multisets; reduce n or the law count")
 
-    law_steps = [
-        [inc.exact(x, c, n) for x in model.values] for c in inc.law_centers(model.means)
-    ]
-    fl_probs = [tuple(float(p) for p in law) for law in model.probs]
+    # per law: the exact steps and float weights of its possible outcomes
+    laws = []
+    for c, probs in zip(inc.law_centers(model.means), model.probs):
+        kept = [(inc.exact(x, c, n), float(p)) for x, p in zip(model.values, probs) if float(p)]
+        laws.append(([step for step, _ in kept], np.array([p for _, p in kept])))
 
-    def evaluate(counts: tuple[int, ...]) -> float:
-        dist = {_canonical(Fraction(0), Fraction(0), root): 1.0}
-        for j, cnt in enumerate(counts):
-            for _ in range(cnt):
-                nxt: dict = {}
-                for (u, w), p0 in dist.items():
-                    for (du, dw), p in zip(law_steps[j], fl_probs[j]):
-                        if p:
-                            key = _canonical(u + du, w + dw, root)
-                            nxt[key] = nxt.get(key, 0.0) + p0 * p
-                dist = nxt
-        total = 0.0
-        for (u, w), p0 in dist.items():
+    keys = [_canonical(Fraction(0), Fraction(0), root)]
+    ids = {keys[0]: 0}
+    # per law, row i: the ids of state i's children by outcome (-1: not yet
+    # computed); per state, its terminal payoff (nan: not yet computed)
+    moves = [np.full((1, len(law_steps)), -1, dtype=np.intp) for law_steps, _ in laws]
+    payoffs = np.full(1, np.nan)
+
+    def intern(key) -> int:
+        if key not in ids:
+            ids[key] = len(keys)
+            keys.append(key)
+        return ids[key]
+
+    def grow() -> None:
+        nonlocal payoffs
+        size = 2 * len(keys)
+        for j, table in enumerate(moves):
+            moves[j] = np.concatenate([table, np.full((size - len(table), table.shape[1]), -1)])
+        payoffs = np.concatenate([payoffs, np.full(size - len(payoffs), np.nan)])
+
+    def step(states: np.ndarray, probs: np.ndarray, j: int):
+        law_steps, weights = laws[j]
+        for i in states[moves[j][states, 0] < 0].tolist():
+            u, w = keys[i]
+            row = [intern(_canonical(u + du, w + dw, root)) for du, dw in law_steps]
+            if len(keys) > len(payoffs):
+                grow()
+            moves[j][i] = row
+        children = moves[j][states].ravel()
+        mass = (probs[:, None] * weights).ravel()
+        found, first, where = np.unique(children, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the new states in order of first arrival
+        out = np.zeros(order.size)
+        np.add.at(out, np.argsort(order)[where], mass)  # unbuffered, in (parent, outcome) order
+        return found[order], out
+
+    def expectation(states: np.ndarray, probs: np.ndarray) -> float:
+        for i in states[np.isnan(payoffs[states])].tolist():
+            value = ExactValue(*keys[i], s)
             if phi.supports_exact:
-                total += p0 * float(phi.evaluate_exact(ExactValue(u, w, s)))
+                payoffs[i] = float(phi.evaluate_exact(value))
             else:
-                total += p0 * phi(float(ExactValue(u, w, s)))
+                payoffs[i] = phi(float(value))
+        total = 0.0
+        for term in (probs * payoffs[states]).tolist():
+            total += term
         return total
 
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
+    def values(states, probs, j: int, left: int):
+        """The value of each composition of ``left`` over laws j, j + 1, ...
+        applied after (states, probs), in lexicographic order."""
+        if j == k - 1:
+            for _ in range(left):
+                states, probs = step(states, probs, j)
+            yield expectation(states, probs)
             return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
+        for first in range(left + 1):
+            if first:
+                states, probs = step(states, probs, j)
+            yield from values(states, probs, j + 1, left - first)
 
-    return max(evaluate(c) for c in compositions(n, k))
+    return max(values(np.zeros(1, dtype=np.intp), np.ones(1), 0, n))
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,11 @@ class TestCondition1Diagnostic:
         with pytest.raises(ValueError):
             condition1_diagnostic(COIN, 5, 0.0, RULE)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_horizon_must_be_positive(self, n):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            condition1_diagnostic(COIN, n, 0.1, RULE)
+
 
 class TestCsv:
     def test_trace_roundtrip(self, tmp_path):

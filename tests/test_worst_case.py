@@ -477,7 +477,62 @@ class TestDpLattice:
         assert len(lattice.layers[0]) == 1
 
 
+def dict_band_probability(L, n, m, delta, rule):
+    """Reference band probability: the band tested cell by cell on exact
+    state keys by a terminal callable."""
+    thr = rule.threshold_exact(m, n)
+    d = Fraction(delta)
+    lo, hi = thr - d, thr + d
+    s = Fraction(n) * validate_measure_set(L).variance_exact()
+
+    def band(u, w):
+        ev = ExactValue(u, w, s)
+        return 1.0 if ev.cmp(lo) >= 0 and ev.cmp(hi) <= 0 else 0.0
+
+    if m == 1:
+        return band(Fraction(0), Fraction(0))
+    return worst_case._dp_value(L, None, n, "tilde", rule=rule, steps=m - 1, terminal=band,
+                                value_mode="float")
+
+
 class TestBandProbability:
+    # at n = 9 the coin's sqrt(n sigma^2) = 27/10 is rational, and the first
+    # step from the threshold 0 by outcome 1 reaches 1/9 + (7/10)/(27/10) =
+    # 10/27 (as do steps 3, 5, 7), so a band of that half-width around the
+    # threshold 0 ends on a reachable value
+    ON_LATTICE = Fraction(10, 27)
+
+    @pytest.mark.parametrize("n", [6, 9, 24])
+    @pytest.mark.parametrize("delta", [Fraction(1, 10), ON_LATTICE, Fraction(1, 10**9),
+                                       Fraction(1, 10**30)])
+    def test_matches_the_cell_by_cell_band(self, n, delta):
+        for rule in (RULE, SwitchRule(0.17, IV)):
+            for m in range(1, n + 1):
+                want = dict_band_probability(COIN, n, m, delta, rule)
+                got = band_probability_sup(COIN, n, m, delta, rule)
+                assert repr(got) == repr(want), (rule.center, m)
+
+    def test_endpoint_on_a_reachable_value_is_tested_exactly(self):
+        n, m, delta = 9, 4, self.ON_LATTICE  # the band tests M~ after 3 steps
+        thr = RULE.threshold_exact(m, n)
+        band = TerminalFunction.indicator(thr - delta, thr + delta)
+        kw = dict(rule=RULE, steps=m - 1, value_mode="float")
+        with_band = dp_lattice(COIN, band, n, "tilde", **kw).exact_tests
+        rule_only = dp_lattice(COIN, None, n, "tilde", terminal=lambda u, w: 0.0,
+                               **kw).exact_tests
+        assert with_band > rule_only
+
+    def test_three_laws_off_center(self):
+        rule = SwitchRule(0.0, validate_measure_set(THREE))
+        for m in range(1, 10):
+            want = dict_band_probability(THREE, 9, m, Fraction(1, 20), rule)
+            assert repr(band_probability_sup(THREE, 9, m, Fraction(1, 20), rule)) == repr(want)
+
+    @pytest.mark.parametrize("delta", [0, -1, 0.0, "-1/10"])
+    def test_delta_must_be_positive(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            band_probability_sup(COIN, 5, 3, delta, RULE)
+
     def test_first_step_is_deterministic(self):
         # start state sits exactly on the centered threshold
         assert band_probability_sup(COIN, 10, 1, Fraction(1, 100), RULE) == 1.0
@@ -487,6 +542,80 @@ class TestBandProbability:
     def test_infinite_center_never_bands(self):
         rule = SwitchRule(math.inf, IV)
         assert band_probability_sup(COIN, 10, 4, 0.5, rule) == 0.0
+
+
+def dict_product_model_value(L, phi, n, variant="clt", *, alpha=1, beta=1):
+    """Reference product model: one dict convolution per law multiset."""
+    from ambiclt._exact import sqrt_exact
+
+    inc = increment(variant, alpha, beta)
+    model = worst_case._prepare(L)
+    s = Fraction(n) * model.sigma_sq
+    root = sqrt_exact(s)
+    k = len(L.laws)
+    _canonical = worst_case._canonical
+
+    law_steps = [
+        [inc.exact(x, c, n) for x in model.values] for c in inc.law_centers(model.means)
+    ]
+    fl_probs = [tuple(float(p) for p in law) for law in model.probs]
+
+    def evaluate(counts: tuple[int, ...]) -> float:
+        dist = {_canonical(Fraction(0), Fraction(0), root): 1.0}
+        for j, cnt in enumerate(counts):
+            for _ in range(cnt):
+                nxt: dict = {}
+                for (u, w), p0 in dist.items():
+                    for (du, dw), p in zip(law_steps[j], fl_probs[j]):
+                        if p:
+                            key = _canonical(u + du, w + dw, root)
+                            nxt[key] = nxt.get(key, 0.0) + p0 * p
+                dist = nxt
+        total = 0.0
+        for (u, w), p0 in dist.items():
+            if phi.supports_exact:
+                total += p0 * float(phi.evaluate_exact(ExactValue(u, w, s)))
+            else:
+                total += p0 * phi(float(ExactValue(u, w, s)))
+        return total
+
+    def compositions(total: int, parts: int):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    return max(evaluate(c) for c in compositions(n, k))
+
+
+PRODUCT_VARIANTS = [("clt", {}), ("lln", {}), ("deviation", {}),
+                    ("scaled", {"alpha": "1/2", "beta": 2})]
+
+
+class TestProductModel:
+    SMOOTH = TerminalFunction.smoothed_indicator(-1, 1, 0.3)
+
+    @pytest.mark.parametrize("variant, kw", PRODUCT_VARIANTS, ids=[v for v, _ in PRODUCT_VARIANTS])
+    @pytest.mark.parametrize("L", [COIN, COIN.shifted("-1/10"), THREE],
+                             ids=["coin", "shifted-coin", "three-laws"])
+    def test_matches_the_dict_convolution(self, L, variant, kw):
+        for phi in (BOX, self.SMOOTH):
+            for n in range(1, 13):
+                want = dict_product_model_value(L, phi, n, variant, **kw)
+                got = product_model_value(L, phi, n, variant, **kw)
+                assert repr(got) == repr(want), (phi.kind, n)
+
+    @pytest.mark.parametrize("variant, kw", PRODUCT_VARIANTS, ids=[v for v, _ in PRODUCT_VARIANTS])
+    def test_matches_the_dict_convolution_at_n_24(self, variant, kw):
+        want = dict_product_model_value(COIN, BOX, 24, variant, **kw)
+        assert repr(product_model_value(COIN, BOX, 24, variant, **kw)) == repr(want)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_horizon_must_be_positive(self, n):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            product_model_value(COIN, BOX, n)
 
 
 class TestConvergenceReport:
