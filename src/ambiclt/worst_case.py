@@ -628,7 +628,7 @@ def product_model_value(
                 payoffs[i] = float(phi.evaluate_exact(value))
             else:
                 payoffs[i] = phi(float(value))
-        total = 0.0
+        total = 0.0  # one term at a time, in state order: np.sum adds pairwise
         for term in (probs * payoffs[states]).tolist():
             total += term
         return total
