@@ -559,12 +559,10 @@ def product_model_value(
     The candidates are the compositions of n over the laws in lexicographic
     order, each applying law 0 first, then law 1, and so on; compositions
     that begin with the same law choices share the distribution of that
-    prefix.  A distribution is an array of exact-state ids in order of first
-    arrival with their float probabilities.  A step adds parent probability
-    times outcome probability into each child, in (parent, outcome) order,
-    and the expectation sums the states in order, so every float is the one
-    a dict keyed by state, filled in that order, would hold.  Each state's
-    moves and terminal payoff are computed once.
+    prefix.  A distribution is a dict from exact-state id to float
+    probability, filled in (parent, outcome) order as the plain convolution
+    fills it, so every float is the same.  Each state's moves under each law
+    and its terminal payoff are computed once.
     """
     inc = increment(variant, alpha, beta)
     if inc.switching:
@@ -579,74 +577,66 @@ def product_model_value(
     if n_multisets * n > 200_000:
         raise ValueError("too many law multisets; reduce n or the law count")
 
-    # per law: the exact steps and float weights of its possible outcomes
+    # per law: the exact steps and float weights of its possible outcomes, and
+    # a memo from state id to the ids of its children by outcome
     laws = []
     for c, probs in zip(inc.law_centers(model.means), model.probs):
         kept = [(inc.exact(x, c, n), float(p)) for x, p in zip(model.values, probs) if float(p)]
-        laws.append(([step for step, _ in kept], np.array([p for _, p in kept])))
-
+        laws.append(([step for step, _ in kept], [p for _, p in kept], {}))
     keys = [_canonical(Fraction(0), Fraction(0), root)]
     ids = {keys[0]: 0}
-    # per law, row i: the ids of state i's children by outcome (-1: not yet
-    # computed); per state, its terminal payoff (nan: not yet computed)
-    moves = [np.full((1, len(law_steps)), -1, dtype=np.intp) for law_steps, _ in laws]
-    payoffs = np.full(1, np.nan)
+    payoffs: dict[int, float] = {}
 
-    def intern(key) -> int:
+    def intern(u: Fraction, w: Fraction) -> int:
+        key = _canonical(u, w, root)
         if key not in ids:
             ids[key] = len(keys)
             keys.append(key)
         return ids[key]
 
-    def grow() -> None:
-        nonlocal payoffs
-        size = 2 * len(keys)
-        for j, table in enumerate(moves):
-            moves[j] = np.concatenate([table, np.full((size - len(table), table.shape[1]), -1)])
-        payoffs = np.concatenate([payoffs, np.full(size - len(payoffs), np.nan)])
+    def step(dist: dict, j: int) -> dict:
+        law_steps, weights, children = laws[j]
+        nxt: dict = {}
+        for i, p0 in dist.items():
+            row = children.get(i)
+            if row is None:
+                u, w = keys[i]
+                row = children[i] = [intern(u + du, w + dw) for du, dw in law_steps]
+            for child, p in zip(row, weights):
+                nxt[child] = nxt.get(child, 0.0) + p0 * p
+        return nxt
 
-    def step(states: np.ndarray, probs: np.ndarray, j: int):
-        law_steps, weights = laws[j]
-        for i in states[moves[j][states, 0] < 0].tolist():
-            u, w = keys[i]
-            row = [intern(_canonical(u + du, w + dw, root)) for du, dw in law_steps]
-            if len(keys) > len(payoffs):
-                grow()
-            moves[j][i] = row
-        children = moves[j][states].ravel()
-        mass = (probs[:, None] * weights).ravel()
-        found, first, where = np.unique(children, return_index=True, return_inverse=True)
-        order = np.argsort(first)  # the new states in order of first arrival
-        out = np.zeros(order.size)
-        np.add.at(out, np.argsort(order)[where], mass)  # unbuffered, in (parent, outcome) order
-        return found[order], out
-
-    def expectation(states: np.ndarray, probs: np.ndarray) -> float:
-        for i in states[np.isnan(payoffs[states])].tolist():
+    def payoff(i: int) -> float:
+        if i not in payoffs:
             value = ExactValue(*keys[i], s)
-            if phi.supports_exact:
-                payoffs[i] = float(phi.evaluate_exact(value))
-            else:
-                payoffs[i] = phi(float(value))
-        total = 0.0  # one term at a time, in state order: np.sum adds pairwise
-        for term in (probs * payoffs[states]).tolist():
-            total += term
+            payoffs[i] = (float(phi.evaluate_exact(value)) if phi.supports_exact
+                          else phi(float(value)))
+        return payoffs[i]
+
+    def expectation(dist: dict) -> float:
+        total = 0.0
+        for i, p0 in dist.items():
+            total += p0 * payoff(i)
         return total
 
-    def values(states, probs, j: int, left: int):
-        """The value of each composition of ``left`` over laws j, j + 1, ...
-        applied after (states, probs), in lexicographic order."""
-        if j == k - 1:
-            for _ in range(left):
-                states, probs = step(states, probs, j)
-            yield expectation(states, probs)
-            return
-        for first in range(left + 1):
-            if first:
-                states, probs = step(states, probs, j)
-            yield from values(states, probs, j + 1, left - first)
+    return max(_composition_values({0: 1.0}, 0, n, k, step, expectation))
 
-    return max(values(np.zeros(1, dtype=np.intp), np.ones(1), 0, n))
+
+# at module level: a nested recursive generator would hold its closure, and
+# with it every memo of the call, in a reference cycle until the cyclic
+# garbage collector ran
+def _composition_values(dist, j: int, left: int, k: int, step, expectation):
+    """The value of each composition of ``left`` over laws j, j + 1, ...,
+    k - 1 applied after ``dist``, in lexicographic order."""
+    if j == k - 1:
+        for _ in range(left):
+            dist = step(dist, j)
+        yield expectation(dist)
+        return
+    for first in range(left + 1):
+        if first:
+            dist = step(dist, j)
+        yield from _composition_values(dist, j + 1, left - first, k, step, expectation)
 
 
 # ---------------------------------------------------------------------------

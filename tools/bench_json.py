@@ -2,12 +2,13 @@
 
 Usage, from anywhere:
 
-    python3 tools/bench_json.py LABEL [--root CHECKOUT] [--seed 0] [--seconds 38]
+    python3 tools/bench_json.py LABEL [--root CHECKOUT]
 
 For each workload of ``bench/run.py`` this runs ``bench/run.py --trace 0``
 (the end-to-end metrics: ``wall_s`` is the median pass, ``setup_s`` the
 median fresh process) and ``--trace 1`` (the per-layer metrics), one after
-the other, in the checkout ``--root`` (default: the one holding this file).
+the other, in the checkout ``--root`` (default: the one holding this file),
+with seed ``SEED`` and the run length ``run_seconds`` of its ``BENCHMARK.json``.
 It writes ``BENCH_<label>.json`` to the root of the checkout holding this
 file, with the machine the runs were made on, the end-to-end metrics with
 their bounds from ``BENCHMARK.json`` and the per-layer rows.  Comparing two
@@ -25,18 +26,19 @@ import sys
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT_S = 300
+SEED = 0
 
 
-def run_workload(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_workload(root: str, workload: str, seconds: float, trace: int) -> dict:
     """The last stdout line of one ``bench/run.py`` run, and its run record."""
     cmd = [sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace)]
+           "--seed", str(SEED), "--seconds", repr(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     record_path = os.path.join(root, "bench", "records",
-                               f"{workload}-seed{seed}-trace{trace}", "record.json")
+                               f"{workload}-seed{SEED}-trace{trace}", "record.json")
     with open(record_path, encoding="utf-8") as handle:
         result["record"] = json.load(handle)
     return result
@@ -48,13 +50,14 @@ def rows(specs: list[dict], metrics: dict) -> list[dict]:
             if spec["name"] in metrics]
 
 
-def collect(root: str, seed: int, seconds: float) -> dict:
+def collect(root: str) -> dict:
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as handle:
         spec = json.load(handle)
+    seconds = spec["run_seconds"]
     workloads, machine = {}, None
     for workload in (w["name"] for w in spec["workloads"]):
-        e2e = run_workload(root, workload, seed, seconds, 0)
-        layers = run_workload(root, workload, seed, seconds, 1)
+        e2e = run_workload(root, workload, seconds, 0)
+        layers = run_workload(root, workload, seconds, 1)
         record = e2e["record"]
         machine = machine or record["machine"]
         workloads[workload] = {
@@ -66,7 +69,7 @@ def collect(root: str, seed: int, seconds: float) -> dict:
             "end_to_end": rows(spec["end_to_end"], e2e["metrics"]),
             "per_layer": rows(spec["per_layer"], layers["metrics"]),
         }
-    return {"command": spec["command"], "seed": seed, "seconds": seconds,
+    return {"command": spec["command"], "seed": SEED, "seconds": seconds,
             "machine": machine, "workloads": workloads}
 
 
@@ -75,11 +78,9 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("label", help="names the output file BENCH_<label>.json")
     parser.add_argument("--root", default=HERE, help="the checkout to measure")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=38.0)
     args = parser.parse_args(argv)
     try:
-        result = collect(os.path.abspath(args.root), args.seed, args.seconds)
+        result = collect(os.path.abspath(args.root))
     except (RuntimeError, subprocess.TimeoutExpired) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
