@@ -560,9 +560,11 @@ def product_model_value(
     order, each applying law 0 first, then law 1, and so on; compositions
     that begin with the same law choices share the distribution of that
     prefix.  A distribution is a dict from exact-state id to float
-    probability, filled in (parent, outcome) order as the plain convolution
-    fills it, so every float is the same.  Each state's moves under each law
-    and its terminal payoff are computed once.
+    probability.  A step adds parent probability times outcome probability
+    into each child in (parent, outcome) order, and the expectation adds its
+    terms in the dict's order, so the floats do not depend on the sharing.
+    Each state's moves under each law and its terminal payoff are computed
+    once.
     """
     inc = increment(variant, alpha, beta)
     if inc.switching:
