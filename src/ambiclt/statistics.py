@@ -170,11 +170,17 @@ _FOLD_INCREMENT = {VARIANT_M: INCREMENTS["special"], VARIANT_TILDE: INCREMENTS["
 
 def increment(variant: str, alpha=1, beta=1) -> Increment:
     """The variant's row of :data:`INCREMENTS`, with (alpha, beta) as the
-    weights of the "scaled" variant."""
+    weights of the "scaled" variant; alpha must be positive and beta
+    nonnegative."""
     if variant not in INCREMENTS:
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "scaled":
-        return INCREMENTS[variant]._replace(drift=to_fraction(beta), noise=to_fraction(alpha))
+        alpha, beta = to_fraction(alpha), to_fraction(beta)
+        if not alpha > 0:
+            raise ValueError("alpha must be positive")
+        if beta < 0:
+            raise ValueError("beta must be nonnegative")
+        return INCREMENTS[variant]._replace(drift=beta, noise=alpha)
     return INCREMENTS[variant]
 
 

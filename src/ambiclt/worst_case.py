@@ -273,6 +273,21 @@ class _Lattice:
         return out
 
 
+def _terminal_layer(grid: _Lattice, phi: TerminalFunction | None, m: int,
+                    terminal: Callable | None = None) -> np.ndarray:
+    """The float payoff of every cell of layer m: ``terminal(u, w)`` of the
+    cell's exact key when given, else phi of its statistic, an indicator-kind
+    phi being decided exactly."""
+    if terminal is None and phi.supports_exact:
+        return grid.classify(m, phi.sample, phi.evaluate_exact, phi.breakpoints())
+    if terminal is None:
+        terminal = lambda u, w: phi(float(ExactValue(u, w, grid.s)))  # noqa: E731
+    V = np.empty(grid.shape(m))
+    for a, b in np.ndindex(V.shape):
+        V[a, b] = terminal(*grid.state(m, a, b).key())
+    return V
+
+
 def _dp_value(
     L: MeasureSet,
     phi: TerminalFunction | None,
@@ -362,17 +377,9 @@ def _dp_value(
                     nxt[grid.child(m, da, db)] |= src
             reach.append(nxt)
 
-    # terminal layer
-    if terminal is None and phi.supports_exact:
-        V = grid.classify(steps, phi.sample, phi.evaluate_exact, phi.breakpoints())
-        if exact_values:
-            V = V.astype(np.int64).astype(object)
-    else:
-        if terminal is None:
-            terminal = lambda u, w: phi(float(ExactValue(u, w, s)))  # noqa: E731
-        V = np.empty(grid.shape(steps))
-        for a, b in np.ndindex(V.shape):
-            V[a, b] = terminal(*grid.state(steps, a, b).key())
+    V = _terminal_layer(grid, phi, steps, terminal)
+    if exact_values:
+        V = V.astype(np.int64).astype(object)
 
     # backward induction
     better = np.less if minimize else np.greater
@@ -434,10 +441,6 @@ def dp_lattice(
 def sup_dp_scaled(L: MeasureSet, phi: TerminalFunction, n: int, alpha, beta, **kw):
     """The (alpha, beta)-scaled worst case; (1, 1) is sup_dp_clt, (1, 0) the
     pure deviation statistic."""
-    if not to_fraction(alpha) > 0:
-        raise ValueError("alpha must be positive")
-    if to_fraction(beta) < 0:
-        raise ValueError("beta must be nonnegative")
     return _dp_value(L, phi, n, "scaled", alpha=alpha, beta=beta, **kw)
 
 
@@ -506,6 +509,8 @@ def enumerate_worst_case(
     tree with no state merging; exponential, for cross-checking at small n.
     Laws that share a center share the children of a node."""
     inc = increment(variant, alpha, beta)
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if n > 10:
         raise ValueError("enumeration is exponential; use n <= 10")
     if not phi.supports_exact:
@@ -556,15 +561,17 @@ def product_model_value(
     every history.  Increments are exchangeable, so only the multiset of law
     choices matters and each candidate is evaluated by exact convolution.
 
-    The candidates are the compositions of n over the laws in lexicographic
-    order, each applying law 0 first, then law 1, and so on; compositions
-    that begin with the same law choices share the distribution of that
-    prefix.  A distribution is a dict from exact-state id to float
-    probability.  A step adds parent probability times outcome probability
-    into each child in (parent, outcome) order, and the expectation adds its
-    terms in the dict's order, so the floats do not depend on the sharing.
-    Each state's moves under each law and its terminal payoff are computed
-    once.
+    The states are the cells of the dynamic program's lattice, bounded by
+    its default ``max_states`` (past it :class:`StateExplosion`).  A
+    multiset of law choices fixes the sum of the centers, hence one column
+    of the terminal layer, and the sum of the outcomes is distributed over
+    that column's rows.  A distribution holds exact integer numerators over D**m after m
+    steps, D the common denominator of the probabilities, and the payoffs
+    enter as exact Fractions of their floats, so every candidate's value is
+    exact and the best one is rounded once.  The candidates are the
+    compositions of n over the laws in lexicographic order, each applying
+    law 0 first, then law 1, and so on; compositions that begin with the
+    same law choices share the distribution of that prefix.
     """
     inc = increment(variant, alpha, beta)
     if inc.switching:
@@ -572,61 +579,41 @@ def product_model_value(
     if n < 1:
         raise ValueError("n must be at least 1")
     model = _prepare(L)
-    s = Fraction(n) * model.sigma_sq
-    root = sqrt_exact(s)
     k = len(L.laws)
     n_multisets = math.comb(n + k - 1, k - 1)
     if n_multisets * n > 200_000:
         raise ValueError("too many law multisets; reduce n or the law count")
+    centers = inc.law_centers(model.means)
+    grid = _Lattice(inc, model.values, centers, n, Fraction(n) * model.sigma_sq, n,
+                    DEFAULT_MAX_STATES, keep_layers=False)
+    D = math.lcm(*(p.denominator for law in model.probs for p in law))
+    weights = [[int(p * D) for p in law] for law in model.probs]
+    payoff = np.frompyfunc(Fraction, 1, 1)(_terminal_layer(grid, phi, n))
+    columns = dict(zip((int(b) for b in grid.cols[n]), payoff.T))
 
-    # per law: the exact steps and float weights of its possible outcomes, and
-    # a memo from state id to the ids of its children by outcome
-    laws = []
-    for c, probs in zip(inc.law_centers(model.means), model.probs):
-        kept = [(inc.exact(x, c, n), float(p)) for x, p in zip(model.values, probs) if float(p)]
-        laws.append(([step for step, _ in kept], [p for _, p in kept], {}))
-    keys = [_canonical(Fraction(0), Fraction(0), root)]
-    ids = {keys[0]: 0}
-    payoffs: dict[int, float] = {}
+    def step(dist, j: int):
+        """(steps taken, column offset, numerators over the rows) after one
+        more step of law j."""
+        m, col, P = dist
+        row_lands = grid._lands[m + 1][0]
+        nxt = np.zeros(len(grid.rows[m + 1]), dtype=object)
+        for da, p in zip(grid.dx, weights[j]):
+            if p:  # a move lands distinct rows on distinct rows
+                nxt[row_lands[da]] += p * P
+        return m + 1, col + grid.dc[centers[j]], nxt
 
-    def intern(u: Fraction, w: Fraction) -> int:
-        key = _canonical(u, w, root)
-        if key not in ids:
-            ids[key] = len(keys)
-            keys.append(key)
-        return ids[key]
+    def expectation(dist):
+        _, col, P = dist
+        return np.dot(P, columns[col])
 
-    def step(dist: dict, j: int) -> dict:
-        law_steps, weights, children = laws[j]
-        nxt: dict = {}
-        for i, p0 in dist.items():
-            row = children.get(i)
-            if row is None:
-                u, w = keys[i]
-                row = children[i] = [intern(u + du, w + dw) for du, dw in law_steps]
-            for child, p in zip(row, weights):
-                nxt[child] = nxt.get(child, 0.0) + p0 * p
-        return nxt
-
-    def payoff(i: int) -> float:
-        if i not in payoffs:
-            value = ExactValue(*keys[i], s)
-            payoffs[i] = (float(phi.evaluate_exact(value)) if phi.supports_exact
-                          else phi(float(value)))
-        return payoffs[i]
-
-    def expectation(dist: dict) -> float:
-        total = 0.0
-        for i, p0 in dist.items():
-            total += p0 * payoff(i)
-        return total
-
-    return max(_composition_values({0: 1.0}, 0, n, k, step, expectation))
+    start = (0, 0, np.ones(1, dtype=object))
+    best = max(_composition_values(start, 0, n, k, step, expectation))
+    return float(Fraction(best, D ** n))
 
 
 # at module level: a nested recursive generator would hold its closure, and
-# with it every memo of the call, in a reference cycle until the cyclic
-# garbage collector ran
+# with it the lattice and payoffs of the call, in a reference cycle until the
+# cyclic garbage collector ran
 def _composition_values(dist, j: int, left: int, k: int, step, expectation):
     """The value of each composition of ``left`` over laws j, j + 1, ...,
     k - 1 applied after ``dist``, in lexicographic order."""

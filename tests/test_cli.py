@@ -159,6 +159,18 @@ class TestErrorsAndExitCodes:
         record = json.loads(capsys.readouterr().err)
         assert record == {"error": "ValueError", "message": "n must be at least 1"}
 
+    @pytest.mark.parametrize("route", [
+        ["dp", "--n", "4"],
+        ["dp", "--n-list", "4", "8", "--reference", "0.5"],
+        ["mc", "--n", "4", "--paths", "10"],
+    ], ids=["dp", "dp-table", "mc"])
+    def test_bad_scaled_weight_exits_3_on_every_route(self, capsys, route):
+        code = run_cli([*route, "--theorem", "scaled", "--p", "0.6", "--q", "0.3",
+                        "--a", "-1", "--b", "1", "--alpha-scale", "-1"])
+        assert code == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "ValueError", "message": "alpha must be positive"}
+
     def test_missing_inputs_exit_2(self, capsys):
         code = run_cli(["dp", "--theorem", "clt", "--n", "4"])
         assert code == 2

@@ -65,6 +65,12 @@ class TestSmallOracle:
         phi = TerminalFunction.indicator("-1/2", "1/2")
         assert sup_dp_clt(COIN, phi, 1, value_mode="exact") == Fraction(1, 10)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("variant", ["clt", "special"])
+    def test_tree_horizon_must_be_positive(self, variant, n):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            enumerate_worst_case(COIN, BOX, n, variant, rule=RULE)
+
     @pytest.mark.parametrize("variant", ["clt", "deviation", "lln"])
     def test_dp_equals_tree(self, variant):
         from ambiclt.worst_case import _dp_value
@@ -247,6 +253,14 @@ class TestFineLatticeUnit:
             tree = enumerate_worst_case(L, BOX, 4, variant, **kw)
             assert _dp_value(L, BOX, 4, variant, value_mode="exact", **kw) == tree
 
+    @pytest.mark.parametrize("middle", ["1/1000", "1/1000000000000000000"])
+    def test_product_model_equals_the_exact_convolution(self, middle):
+        # gapped outcome sums: the product model's steps gather rows
+        L = self.fine(middle)
+        for n in range(1, 7):
+            exact = dict_product_model_value(L, BOX, n, "clt", exact=True)
+            assert repr(product_model_value(L, BOX, n, "clt")) == repr(float(exact)), n
+
 
 class TestRuleMustMatchTheSet:
     # a rule built on another measure set's mean interval
@@ -307,6 +321,26 @@ class TestCollapseAndBounds:
     def test_scaled_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
             sup_dp_scaled(COIN, BOX, 3, 0, 1)
+
+    @pytest.mark.parametrize("alpha, beta, message", [
+        (0, 1, "alpha must be positive"),
+        (-1.0, 1, "alpha must be positive"),
+        (1, "-1/2", "beta must be nonnegative"),
+    ])
+    def test_scaled_weights_are_checked_on_every_route(self, alpha, beta, message):
+        kw = {"alpha": alpha, "beta": beta}
+        routes = [
+            lambda: increment("scaled", alpha, beta),
+            lambda: sup_dp_scaled(COIN, BOX, 3, alpha, beta),
+            lambda: enumerate_worst_case(COIN, BOX, 3, "scaled", **kw),
+            lambda: product_model_value(COIN, BOX, 3, "scaled", **kw),
+            lambda: convergence_report(COIN, BOX, [3, 4], 0.5, variant="scaled", **kw),
+            lambda: simulate_statistic_values(COIN, DriftPolicy.constant(0), "scaled", 3, 10,
+                                              seed=1, **kw),
+        ]
+        for route in routes:
+            with pytest.raises(ValueError, match=message):
+                route()
 
 
 class TestFrozenMeanSentinels:
@@ -544,8 +578,10 @@ class TestBandProbability:
         assert band_probability_sup(COIN, 10, 4, 0.5, rule) == 0.0
 
 
-def dict_product_model_value(L, phi, n, variant="clt", *, alpha=1, beta=1):
-    """Reference product model: one dict convolution per law multiset."""
+def dict_product_model_value(L, phi, n, variant="clt", *, alpha=1, beta=1, exact=False):
+    """Reference product model: one dict convolution per law multiset, in
+    float arithmetic or, with ``exact``, in Fractions with each float payoff
+    taken at its exact value."""
     from ambiclt._exact import sqrt_exact
 
     inc = increment(variant, alpha, beta)
@@ -554,14 +590,15 @@ def dict_product_model_value(L, phi, n, variant="clt", *, alpha=1, beta=1):
     root = sqrt_exact(s)
     k = len(L.laws)
     _canonical = worst_case._canonical
+    num = Fraction if exact else float
 
     law_steps = [
         [inc.exact(x, c, n) for x in model.values] for c in inc.law_centers(model.means)
     ]
-    fl_probs = [tuple(float(p) for p in law) for law in model.probs]
+    fl_probs = [tuple(num(p) for p in law) for law in model.probs]
 
-    def evaluate(counts: tuple[int, ...]) -> float:
-        dist = {_canonical(Fraction(0), Fraction(0), root): 1.0}
+    def evaluate(counts: tuple[int, ...]):
+        dist = {_canonical(Fraction(0), Fraction(0), root): num(1)}
         for j, cnt in enumerate(counts):
             for _ in range(cnt):
                 nxt: dict = {}
@@ -569,14 +606,14 @@ def dict_product_model_value(L, phi, n, variant="clt", *, alpha=1, beta=1):
                     for (du, dw), p in zip(law_steps[j], fl_probs[j]):
                         if p:
                             key = _canonical(u + du, w + dw, root)
-                            nxt[key] = nxt.get(key, 0.0) + p0 * p
+                            nxt[key] = nxt.get(key, num(0)) + p0 * p
                 dist = nxt
-        total = 0.0
+        total = num(0)
         for (u, w), p0 in dist.items():
             if phi.supports_exact:
-                total += p0 * float(phi.evaluate_exact(ExactValue(u, w, s)))
+                total += p0 * num(float(phi.evaluate_exact(ExactValue(u, w, s))))
             else:
-                total += p0 * phi(float(ExactValue(u, w, s)))
+                total += p0 * num(phi(float(ExactValue(u, w, s))))
         return total
 
     def compositions(total: int, parts: int):
@@ -601,16 +638,29 @@ class TestProductModel:
     @pytest.mark.parametrize("L", [COIN, COIN.shifted("-1/10"), THREE],
                              ids=["coin", "shifted-coin", "three-laws"])
     def test_matches_the_dict_convolution(self, L, variant, kw):
+        # the exact convolution rounded once, bit for bit, and the float
+        # convolution within float-mode tolerance
         for phi in (BOX, self.SMOOTH):
             for n in range(1, 13):
-                want = dict_product_model_value(L, phi, n, variant, **kw)
+                exact = dict_product_model_value(L, phi, n, variant, exact=True, **kw)
+                ref = dict_product_model_value(L, phi, n, variant, **kw)
                 got = product_model_value(L, phi, n, variant, **kw)
-                assert repr(got) == repr(want), (phi.kind, n)
+                assert repr(got) == repr(float(exact)), (phi.kind, n)
+                assert abs(got - ref) <= 1e-12, (phi.kind, n)
 
     @pytest.mark.parametrize("variant, kw", PRODUCT_VARIANTS, ids=[v for v, _ in PRODUCT_VARIANTS])
     def test_matches_the_dict_convolution_at_n_24(self, variant, kw):
-        want = dict_product_model_value(COIN, BOX, 24, variant, **kw)
-        assert repr(product_model_value(COIN, BOX, 24, variant, **kw)) == repr(want)
+        exact = dict_product_model_value(COIN, BOX, 24, variant, exact=True, **kw)
+        ref = dict_product_model_value(COIN, BOX, 24, variant, **kw)
+        got = product_model_value(COIN, BOX, 24, variant, **kw)
+        assert repr(got) == repr(float(exact))
+        assert abs(got - ref) <= 1e-12
+
+    def test_a_sure_event_has_probability_one(self):
+        # a mean of outcomes in {-1, 0, 1} always lies in [-1, 1]; the float
+        # convolution summed to 1.0000000000000004
+        L = coin_example("0.44", "0.14")
+        assert product_model_value(L, BOX, 24, "lln") == 1.0
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_horizon_must_be_positive(self, n):
@@ -634,11 +684,20 @@ class TestConvergenceReport:
             convergence_report(COIN, BOX, [8, 4], 0.5)
 
     def test_product_model_never_beats_the_rectangular_sup(self):
-        # the product measures form a subset of the ambiguous random walk
-        for n in (4, 6):
-            product = product_model_value(COIN, BOX, n, "clt")
-            sup = float(sup_dp_clt(COIN, BOX, n, value_mode="float"))
-            assert product <= sup + 1e-12
+        # the product measures form a subset of the ambiguous random walk, and
+        # both sides are rounded once from exact values, so no slack is needed
+        sups = {
+            "clt": sup_dp_clt,
+            "lln": sup_dp_lln,
+            "deviation": sup_dp_deviation,
+            "scaled": sup_dp_scaled,
+        }
+        for L in (COIN, THREE):
+            for variant, kw in PRODUCT_VARIANTS:
+                for n in range(1, 9):
+                    product = product_model_value(L, BOX, n, variant, **kw)
+                    sup = sups[variant](L, BOX, n, value_mode="exact", **kw)
+                    assert product <= float(sup), (variant, n)
 
     def test_report_can_carry_the_product_column(self):
         report = convergence_report(COIN, BOX, [4, 6], 0.77, variant="clt",
