@@ -14,11 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from math import isfinite, isqrt, sqrt
 from typing import Union
 
 Rational = Union[int, Fraction]
 Numeric = Union[int, float, str, Fraction, Decimal]
+
+# The float filters of the dynamic program and the exact fold compute a
+# statistic to within a few ulps of a bound on the magnitudes of the terms
+# they sum; a value within this relative margin of a threshold or an
+# indicator endpoint is decided by the exact test instead.
+FILTER_MARGIN = 1e-10
 
 
 def to_fraction(x: Numeric) -> Fraction:
@@ -48,9 +55,15 @@ def to_fraction(x: Numeric) -> Fraction:
 
 def sqrt_exact(value: Fraction) -> Fraction | None:
     """Return the exact rational square root of ``value``, or None."""
-    if value < 0:
-        raise ValueError("square root of a negative rational")
     num, den = value.numerator, value.denominator
+    if num < 0:
+        raise ValueError("square root of a negative rational")
+    return _sqrt_ratio(num, den)
+
+
+# keyed by the integers: hashing a Fraction costs more than the two isqrt
+@lru_cache(maxsize=256)
+def _sqrt_ratio(num: int, den: int) -> Fraction | None:
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)

@@ -21,6 +21,17 @@ statistic is carried as u + w/sqrt(n*sigma^2) with rational u, w
 (:class:`ambiclt._exact.ExactValue`), so threshold comparisons and terminal
 indicator evaluations are free of rounding and path enumeration merges
 states exactly.
+
+:func:`path_statistic` and :func:`statistic_trace` fold a whole path in one
+loop.  The float fold takes the same steps as :func:`update_statistic`.  The
+exact fold carries only the outcome sum, as an integer numerator over the
+path's common denominator, and the count of upper-mean steps; every step
+decides the rule on the float value of that state against the correctly
+rounded threshold, and only a step whose float value lies within
+:data:`ambiclt._exact.FILTER_MARGIN` of the threshold, relative to the
+magnitudes summed, builds an ExactValue for the exact test.  The result is
+built once, at the end, and equals the chain of :func:`update_statistic`
+calls as Fractions.
 """
 
 from __future__ import annotations
@@ -28,13 +39,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from ._exact import ExactValue, Rational, to_fraction
+from ._exact import FILTER_MARGIN, ExactValue, Rational, to_fraction
 from .measures import AmbiguityInterval, MeasureSet
 
 VARIANT_M = "M"
@@ -73,12 +84,16 @@ class SwitchRule:
         lo, hi = self._exact_means
         return (lo + hi) / 2, to_fraction(self.center)
 
+    @cached_property
+    def _float_mid_and_center(self) -> tuple[float, float]:
+        return self.interval.center, float(self.center)
+
     def threshold(self, m: int, n: int) -> float:
         """Threshold compared against M_{m-1} when choosing mu_m."""
         if math.isinf(self.center):
             return self.center
-        mid = self.interval.center
-        return -mid * (1.0 - (m - 1) / n) + float(self.center)
+        mid, center = self._float_mid_and_center
+        return -mid * (1.0 - (m - 1) / n) + center
 
     def threshold_exact(self, m: int, n: int) -> Fraction | float:
         """The threshold as a Fraction; the sentinel centers return +/-inf."""
@@ -86,6 +101,12 @@ class SwitchRule:
             return self.center
         mid, center = self._exact_mid_and_center
         return -mid * (1 - Fraction(m - 1, n)) + center
+
+    def _thresholds(self, n: int) -> tuple[tuple, tuple[float, ...]]:
+        """:meth:`threshold_exact` for m = 1..n, and each correctly rounded to
+        a float; cached."""
+        key = self.center if math.isinf(self.center) else self._exact_mid_and_center
+        return _threshold_table(key, self, n)
 
     def upper(self, M, threshold, tilde: bool = False):
         """Whether mu_m is the upper mean, given M_{m-1} and the step's
@@ -110,6 +131,15 @@ class SwitchRule:
         hit = self.upper(M, threshold, tilde)
         lo, hi = self.exact_mean_pair() if isinstance(M, ExactValue) else self.mean_pair()
         return np.where(hit, hi, lo) if isinstance(hit, np.ndarray) else (hi if hit else lo)
+
+
+# The key holds the rule's exact mid-point and center besides the rule: rules
+# that compare equal may hold a float and a Fraction of one value, which
+# to_fraction reads as different rationals.
+@lru_cache(maxsize=16)
+def _threshold_table(key, rule: SwitchRule, n: int) -> tuple[tuple, tuple[float, ...]]:
+    exact = tuple(rule.threshold_exact(m, n) for m in range(1, n + 1))
+    return exact, tuple(map(float, exact))
 
 
 LAW_MEAN = "law"
@@ -268,30 +298,77 @@ def update_statistic(state: StatState, x, rule: SwitchRule) -> StatState:
     return _advance(state, x, rule)[1]
 
 
+def _check_path(xs: Sequence, n: int, variant: str) -> Increment:
+    if len(xs) != n:
+        raise LengthMismatch(f"expected {n} observations, got {len(xs)}")
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    return _FOLD_INCREMENT[variant]
+
+
+def _fold_float(xs: Sequence, n: int, rule: SwitchRule, inc: Increment):
+    """(mu_m, M_m) for m = 1..n, in the float steps of update_statistic."""
+    lo, hi = rule.mean_pair()
+    sigma = float(rule.interval.sigma)
+    M = 0.0
+    for m, x in enumerate(xs, 1):
+        mu = hi if rule.upper(M, rule.threshold(m, n), inc.tilde) else lo
+        M = inc.advance(M, float(x), mu, n, sigma)
+        yield mu, M
+
+
+def _fold_exact(xs: Sequence, n: int, rule: SwitchRule, inc: Increment) -> ExactValue:
+    """M_{n,n} as an ExactValue; see the module docstring."""
+    s = Fraction(n) * rule.interval.variance_exact()
+    if not xs:
+        return ExactValue.zero(s)  # rejects n = 0: the scale must be positive
+    lo, hi = rule.exact_mean_pair()
+    lo_f, hi_f = float(lo), float(hi)
+    xs = [to_fraction(x) for x in xs]
+    den = math.lcm(*(x.denominator for x in xs))
+    thresholds, float_thresholds = rule._thresholds(n)
+    finite = not math.isinf(rule.center)
+    # the float value of the state after m steps is d*(sum x) + e*(sum x -
+    # sum mu), formed from the exact sums so that its error stays a few ulps
+    # of the magnitudes g at any horizon
+    d = float(inc.drift) / n
+    e = float(inc.noise) / math.sqrt(float(s))
+    ad, ae = abs(d), abs(e)
+    sx, k = 0, 0  # sum x = sx/den; k of the m steps took the upper mean
+    for m, x in enumerate(xs):
+        t, j = float_thresholds[m], m - k
+        fx = sx / den
+        f = d * fx + e * (fx - (k * hi_f + j * lo_f))
+        g = (ad + ae) * abs(fx) + ae * (k * abs(hi_f) + j * abs(lo_f))
+        if finite and abs(f - t) <= FILTER_MARGIN * (g + abs(t)):
+            sum_x = Fraction(sx, den)
+            M = ExactValue.create(*inc.exact(sum_x, k * hi + j * lo, n), s)
+            k += rule.upper(M, thresholds[m], inc.tilde)
+        else:
+            k += rule.upper(f, t, inc.tilde)
+        sx += x.numerator * (den // x.denominator)
+    return ExactValue.create(*inc.exact(Fraction(sx, den), k * hi + (n - k) * lo, n), s)
+
+
 def path_statistic(
     xs: Sequence, n: int, rule: SwitchRule, variant: str = VARIANT_M, exact: bool = False
 ):
     """Fold a full observation path; returns M_{n,n} (float, or ExactValue)."""
-    if len(xs) != n:
-        raise LengthMismatch(f"expected {n} observations, got {len(xs)}")
-    state = initial_state_exact(n, rule.interval, variant) if exact else initial_state(n, variant)
-    for x in xs:
-        state = update_statistic(state, x, rule)
-    return state.M
+    inc = _check_path(xs, n, variant)
+    if exact:
+        return _fold_exact(xs, n, rule, inc)
+    M = 0.0
+    for _, M in _fold_float(xs, n, rule, inc):
+        pass
+    return M
 
 
 def statistic_trace(
     xs: Sequence, n: int, rule: SwitchRule, variant: str = VARIANT_M
 ) -> list[tuple[int, float, float]]:
     """Rows (m, mu_m, M_m) for m = 1..n, float-valued, ready for CSV."""
-    if len(xs) != n:
-        raise LengthMismatch(f"expected {n} observations, got {len(xs)}")
-    state = initial_state(n, variant)
-    rows = []
-    for x in xs:
-        mu, state = _advance(state, x, rule)
-        rows.append((state.m, float(mu), state.value()))
-    return rows
+    inc = _check_path(xs, n, variant)
+    return [(m, mu, M) for m, (mu, M) in enumerate(_fold_float(xs, n, rule, inc), 1)]
 
 
 def read_path_csv(path) -> list[float]:

@@ -31,7 +31,9 @@ The switching rule's threshold test and terminal indicators are decided by
 a float filter: a cell whose float statistic lies within a small relative
 margin of the threshold or an endpoint is handed to the exact comparison of
 :class:`ambiclt._exact.ExactValue` (an adaptive predicate in the sense of
-Shewchuk), so every decision is the exact one.
+Shewchuk), so every decision is the exact one.  A smooth terminal is sampled
+once on the whole layer, each cell's statistic being formed as the float of
+its exact value is, from integer numerators.
 
 A seeded Monte Carlo policy evaluator provides lower bounds on the suprema,
 and :func:`convergence_report` tabulates finite-n values against their
@@ -48,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._exact import ExactValue, sqrt_exact, to_fraction
+from ._exact import FILTER_MARGIN, ExactValue, sqrt_exact, to_fraction
 from .measures import MeasureSet, validate_measure_set
 from .statistics import INCREMENTS, SwitchRule, increment
 from .terminal import TerminalFunction
@@ -146,11 +148,6 @@ def _resolve_value_mode(value_mode: str, phi: TerminalFunction, n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # the dynamic program
-
-# A cell's float value is off by at most a few ulps of its magnitude bound;
-# cells within this relative margin of a threshold or an indicator endpoint
-# are decided by the exact test instead.
-_FILTER_MARGIN = 1e-10
 
 
 def _lattice_axis(points: Sequence[Fraction]) -> tuple[Fraction, Fraction, list[int]]:
@@ -266,11 +263,42 @@ class _Lattice:
         mag = m * g0 + a * ga + b * gb
         near = np.zeros(value.shape, dtype=bool)
         for t in points:
-            near |= np.abs(value - t) <= _FILTER_MARGIN * (mag + abs(t))
+            near |= np.abs(value - t) <= FILTER_MARGIN * (mag + abs(t))
         for i, j in zip(*np.nonzero(near)):
             out[i, j] = exact_test(self.state(m, i, j))
         self.exact_tests += int(np.count_nonzero(near))
         return out
+
+    def statistic(self, m: int) -> np.ndarray | None:
+        """``float(self.state(m, i, j))`` of every cell of layer m, or None
+        where an integer numerator or denominator of the canonical (u, w)
+        passes 2**53, so that float64 would round it."""
+        drift, noise, n = self.inc.drift, self.inc.noise, self.n
+        # u and w of cell (i, j) as c0 + a*ca + b*cb for the offsets (a, b)
+        u = (drift * m * self.x0 / n, drift * self.ux / n, Fraction(0))
+        w = (noise * m * (self.x0 - self.c0), noise * self.ux, -noise * self.uc)
+        rows, cols = self.rows[m], self.cols[m]
+        root = sqrt_exact(self.s)
+        if root is not None:  # canonical: w is folded into u
+            return _rounded([p + q / root for p, q in zip(u, w)], rows, cols)
+        fu, fw = _rounded(u, rows, cols), _rounded(w, rows, cols)
+        if fu is None or fw is None:
+            return None
+        return fu + fw / math.sqrt(float(self.s))
+
+
+def _rounded(coef, rows, cols) -> np.ndarray | None:
+    """float(c0 + a*ca + b*cb) for rational coefficients over row offsets a
+    and column offsets b, as one division of exact integers, or None past
+    2**53."""
+    den = math.lcm(*(c.denominator for c in coef))
+    k0, ka, kb = (int(c * den) for c in coef)
+    amax, bmax = int(rows[-1]), int(cols[-1])  # offsets are sorted
+    if max(den, amax, bmax, abs(k0) + amax * abs(ka) + bmax * abs(kb)) > 2**53:
+        return None
+    a = np.asarray(rows, dtype=np.int64)[:, None]
+    b = np.asarray(cols, dtype=np.int64)[None, :]
+    return (k0 + a * ka + b * kb) / den
 
 
 def _terminal_layer(grid: _Lattice, phi: TerminalFunction | None, m: int,
@@ -280,6 +308,10 @@ def _terminal_layer(grid: _Lattice, phi: TerminalFunction | None, m: int,
     phi being decided exactly."""
     if terminal is None and phi.supports_exact:
         return grid.classify(m, phi.sample, phi.evaluate_exact, phi.breakpoints())
+    if terminal is None and phi.kind != "tabulated":  # tabulated phi is off its grid
+        x = grid.statistic(m)
+        if x is not None:
+            return phi.sample(x)
     if terminal is None:
         terminal = lambda u, w: phi(float(ExactValue(u, w, grid.s)))  # noqa: E731
     V = np.empty(grid.shape(m))

@@ -4,8 +4,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ambiclt._exact import ExactValue
+from ambiclt._exact import ExactValue, sqrt_exact
 from ambiclt.measures import coin_example, interval, validate_measure_set
 from ambiclt.statistics import (
     VARIANT_M,
@@ -182,6 +184,129 @@ class TestPathStatistic:
         assert exact.cmp(Fraction(0)) < 0
 
 
+def _chain(xs, n, rule, variant, exact=False):
+    """The one-step API folded over a path: [(mu_m, M_m) for m = 1..n]."""
+    state = initial_state_exact(n, rule.interval, variant) if exact else initial_state(n, variant)
+    choose = step_mu if variant == VARIANT_M else step_mu_tilde
+    steps = []
+    for x in xs:
+        mu = choose(state, rule)
+        state = update_statistic(state, x, rule)
+        steps.append((mu, state.M))
+    return steps
+
+
+def _as_input(draw, x: Fraction):
+    """x as an int, a Fraction, a float or a "p/q" string."""
+    kinds = ["fraction", "float", "ratio"] + (["int"] if x.denominator == 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    return {"int": lambda: int(x), "fraction": lambda: x, "float": lambda: float(x),
+            "ratio": lambda: f"{x.numerator}/{x.denominator}"}[kind]()
+
+
+@st.composite
+def _fold_cases(draw):
+    den = draw(st.integers(3, 12))
+    q = draw(st.integers(1, (den - 1) // 2))
+    p = draw(st.integers(q + 1, den - q))
+    L = coin_example(Fraction(p, den), Fraction(q, den))
+    if draw(st.booleans()):
+        L = L.shifted(Fraction(draw(st.integers(-6, 6)), 6))
+    iv = validate_measure_set(L)
+    # horizons where sqrt(n*sigma^2) is rational, so the statistic is too
+    rational = [n for n in range(1, 13) if sqrt_exact(n * iv.variance_exact()) is not None]
+    n = draw(st.sampled_from(rational) if rational and draw(st.booleans()) else st.integers(1, 12))
+    xs = draw(st.lists(st.sampled_from(L.values), min_size=n, max_size=n))
+    variant = draw(st.sampled_from([VARIANT_M, VARIANT_TILDE]))
+    center = draw(st.sampled_from([0.0, math.inf, -math.inf, None, "reached"]))
+    if center == "reached" and n > 1:
+        # move the threshold of step k + 1 onto the value that the path
+        # reaches after k steps, when that value is rational: a tie whenever
+        # the move leaves the first k choices of mean as they were
+        k, center = draw(st.integers(1, n - 1)), Fraction(0)
+        for _ in range(2):
+            rule = SwitchRule(center, iv)
+            value = _chain(xs[:k], n, rule, variant, exact=True)[-1][1]
+            center = center + value.u - rule.threshold_exact(k + 1, n) if value.w == 0 else None
+            if center is None:
+                break
+    if center is None or center == "reached":
+        center = draw(st.integers(-20, 20)) / 20
+    return xs, [_as_input(draw, x) for x in xs], n, SwitchRule(center, iv), variant
+
+
+class TestFold:
+    @given(case=_fold_cases())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_fold_equals_the_one_step_chain(self, case):
+        xs, inputs, n, rule, variant = case
+        exact = path_statistic(inputs, n, rule, variant, exact=True)
+        want = _chain(inputs, n, rule, variant, exact=True)[-1][1]
+        assert (str(exact.u), str(exact.w)) == (str(want.u), str(want.w))
+        # float() reads decimal strings but not "p/q" ones
+        inputs = [repr(float(Fraction(x))) if isinstance(x, str) else x for x in inputs]
+        chain = _chain(inputs, n, rule, variant)
+        assert repr(path_statistic(inputs, n, rule, variant)) == repr(chain[-1][1])
+        rows = statistic_trace(inputs, n, rule, variant)
+        assert repr(rows) == repr([(m, mu, M) for m, (mu, M) in enumerate(chain, 1)])
+
+    @pytest.mark.parametrize("variant, head", [(VARIANT_TILDE, [0, 0]), (VARIANT_M, [-1, 0, 0, 1])])
+    def test_ties_at_a_rational_root_horizon(self, variant, head, monkeypatch):
+        # n*sigma^2 = 9*81/100 has the rational root 27/10, so the statistic is
+        # rational; with the center -2/9 the path's head ends exactly on the
+        # threshold, where the float value alone rounds to the wrong side
+        n, rule = 9, SwitchRule(Fraction(-2, 9), IV)
+        xs = head + [1] + [0] * (n - len(head) - 1)
+        chain = _chain(xs, n, rule, variant, exact=True)
+        assert chain[len(head) - 1][1].cmp(rule.threshold_exact(len(head) + 1, n)) == 0
+        exact_tests = []
+        upper = SwitchRule.upper
+
+        def spy(self, M, threshold, tilde=False):
+            exact_tests.append(isinstance(M, ExactValue))
+            return upper(self, M, threshold, tilde)
+
+        monkeypatch.setattr(SwitchRule, "upper", spy)
+        got = path_statistic(xs, n, rule, variant, exact=True)
+        assert any(exact_tests)
+        assert (str(got.u), str(got.w)) == (str(chain[-1][1].u), str(chain[-1][1].w))
+
+    def test_centers_on_reachable_values_at_a_rational_root_horizon(self):
+        # every rational value reached within three steps, as the center: the
+        # paths through it meet the threshold exactly, at all sorts of steps
+        n = 9
+        centers = {_chain(head, n, RULE, VARIANT_M, exact=True)[-1][1].u
+                   for k in (1, 2, 3) for head in product((1, -1, 0), repeat=k)}
+        for center in sorted(centers):
+            rule = SwitchRule(center, IV)
+            for head in product((1, -1, 0), repeat=4):
+                xs = list(head) + [1, 0, 0, -1, 0]
+                for variant in (VARIANT_M, VARIANT_TILDE):
+                    got = path_statistic(xs, n, rule, variant, exact=True)
+                    want = _chain(xs, n, rule, variant, exact=True)[-1][1]
+                    assert (str(got.u), str(got.w)) == (str(want.u), str(want.w))
+
+    def test_threshold_tables_of_equal_rules_stay_apart(self):
+        # 0.1 equals the Fraction of its binary value, but to_fraction reads
+        # the float as 1/10
+        rules = SwitchRule(0.1, IV), SwitchRule(Fraction(0.1), IV)
+        assert rules[0] == rules[1]
+        for rule in rules:
+            exact, rounded = rule._thresholds(5)
+            assert exact == tuple(rule.threshold_exact(m, 5) for m in range(1, 6))
+            assert rounded == tuple(float(t) for t in exact)
+
+    def test_empty_path(self):
+        assert path_statistic([], 0, RULE) == 0.0
+        assert statistic_trace([], 0, RULE) == []
+        with pytest.raises(ValueError, match="scale must be positive"):
+            path_statistic([], 0, RULE, exact=True)
+
+    def test_unknown_variant(self):
+        with pytest.raises(ValueError, match="unknown variant"):
+            path_statistic([1], 1, RULE, "M-hat")
+
+
 class TestRationalClosure:
     def test_fold_matches_direct_formula_exhaustively(self):
         # every outcome path at n = 4: the exact fold equals the statistic
@@ -267,6 +392,22 @@ class TestCsv:
         text = out.read_text().splitlines()
         assert text[0] == "m,mu_m,M_m"
         assert len(text) == 5
+
+    def test_trace_bytes(self, tmp_path):
+        rule = SwitchRule(0.17, IV)
+        xs = [1, -1, 0, 1, "0.5", -1]
+        want = {
+            VARIANT_M: b"m,mu_m,M_m\r\n1,0.3,0.48419311480522675\r\n2,-0.3,5.551115123125783e-17\r\n"
+                       b"3,0.3,-0.13608276348795428\r\n4,0.3,0.3481103513172724\r\n"
+                       b"5,-0.3,0.7943310539518174\r\n6,-0.3,0.31013793914659066\r\n",
+            VARIANT_TILDE: b"m,mu_m,M_m\r\n1,-0.3,0.7563586417811354\r\n2,0.3,0.0\r\n"
+                           b"3,-0.3,0.13608276348795434\r\n4,-0.3,0.8924414052690898\r\n"
+                           b"5,0.3,1.066496580927726\r\n6,0.3,0.3101379391465906\r\n",
+        }
+        for variant, expected in want.items():
+            out = tmp_path / f"{variant}.csv"
+            write_trace_csv(statistic_trace(xs, 6, rule, variant), out)
+            assert out.read_bytes() == expected
 
     def test_read_paths_with_header(self, tmp_path):
         src = tmp_path / "obs.csv"

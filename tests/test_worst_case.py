@@ -262,6 +262,43 @@ class TestFineLatticeUnit:
             assert repr(product_model_value(L, BOX, n, "clt")) == repr(float(exact)), n
 
 
+class TestTerminalLayer:
+    SMOOTH = TerminalFunction.smoothed_indicator(-1, 1, 0.05)
+
+    @staticmethod
+    def grid(L, variant, n):
+        from ambiclt.worst_case import _Lattice, _prepare
+
+        model = _prepare(L)
+        inc = increment(variant, "1/2", 2) if variant == "scaled" else increment(variant)
+        centers = ([model.mu_lo, model.mu_hi] if inc.switching
+                   else inc.law_centers(model.means))
+        return _Lattice(inc, model.values, centers, n, n * model.sigma_sq, n, 10**6, False)
+
+    # n = 9 on the coin has the rational root 27/10 (w folds into u); the
+    # 10**-18 unit takes the numerators past 2**53, where no array is formed
+    @pytest.mark.parametrize("L, n, arrays", [
+        (COIN, 9, True), (COIN, 8, True), (COIN.shifted("1/10"), 7, True),
+        (THREE, 6, True), (TestFineLatticeUnit.fine(), 5, True),
+        (TestFineLatticeUnit.fine("1/1000000000000000000"), 3, False),
+    ])
+    @pytest.mark.parametrize("variant", ["clt", "scaled", "deviation", "special", "lln"])
+    def test_statistic_is_the_float_of_each_exact_cell(self, L, n, arrays, variant):
+        from ambiclt.worst_case import _terminal_layer
+
+        grid = self.grid(L, variant, n)
+        assert (grid.statistic(n) is not None) == arrays
+        for m in range(n + 1):
+            cells = list(np.ndindex(grid.shape(m)))
+            x = grid.statistic(m)
+            if x is not None:
+                assert repr([float(x[c]) for c in cells]) == repr(
+                    [float(grid.state(m, *c)) for c in cells])
+        layer = _terminal_layer(grid, self.SMOOTH, n)
+        assert repr([float(layer[c]) for c in cells]) == repr(
+            [self.SMOOTH(float(grid.state(n, *c))) for c in cells])
+
+
 class TestRuleMustMatchTheSet:
     # a rule built on another measure set's mean interval
     OTHER = SwitchRule(0.0, validate_measure_set(THREE))
