@@ -299,6 +299,7 @@ def update_statistic(state: StatState, x, rule: SwitchRule) -> StatState:
 
 
 def _check_path(xs: Sequence, n: int, variant: str) -> Increment:
+    """The variant's step, once the path and the variant are checked."""
     if len(xs) != n:
         raise LengthMismatch(f"expected {n} observations, got {len(xs)}")
     if variant not in _VARIANTS:
