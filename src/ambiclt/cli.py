@@ -138,9 +138,17 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
         print(text)
 
 
+def _read_input(read, path: str, what: str):
+    """read(path), with a file that cannot be opened reported as a ConfigError."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path!r}: {exc.strerror}") from exc
+
+
 def _measure_set(args):
     if getattr(args, "measures", None):
-        return load_measure_set(args.measures)
+        return _read_input(load_measure_set, args.measures, "measures")
     p = getattr(args, "p", None)
     q = getattr(args, "q", None)
     if p is None or q is None:
@@ -335,7 +343,7 @@ def _run_hyptest(args) -> int:
         "power_curve": [[x, v] for x, v in power_curve],
     }
     if args.data:
-        xs = read_path_csv(args.data)
+        xs = _read_input(read_path_csv, args.data, "data")
         m_resid = residual_statistic(xs, spec, a_cal, b_cal)
         body["decision"] = test_decision(
             args.theta0 + m_resid, a_cal, b_cal, ThetaSet.point(args.theta0)

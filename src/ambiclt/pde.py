@@ -7,14 +7,18 @@ The limit object for a bounded terminal function phi solves, backward on
 
 with generator g_eps(z) = kappa*(sqrt(z^2 + eps^2) - eps), the smooth
 approximation of kappa*|z| whose value at 0 vanishes and whose slope is
-bounded by kappa.  The value at (0, x0) is the nonlinear expectation of
-phi(x0 + B_1) under mean ambiguity of half-width kappa.
+bounded by kappa; it is evaluated as kappa*max(sqrt(z*z + eps*eps) - eps, 0).
+The value at (0, x0) is the nonlinear expectation of phi(x0 + B_1) under
+mean ambiguity of half-width kappa.
 
 Time marching is implicit in the diffusion and explicit in the gradient
-nonlinearity.  The diffusion matrix is constant, so each march factors it
-once (LAPACK ``gttrf``) and every step is one tridiagonal back-substitution
-(``gttrs``).  The several eps of :func:`epsilon_extrapolate` march together
-as the columns of one block, one right-hand side each.  Gradients are
+nonlinearity.  The diffusion matrix is constant.  With its first and last
+(zero-slope ghost-node) rows halved, which is exact in binary, it is
+symmetric positive definite, so each march factors it once as LDL^T (LAPACK
+``pttrf``) and every step is one tridiagonal solve (``pttrs``) against a
+right-hand side whose end entries are halved likewise.  The several eps of
+:func:`epsilon_extrapolate` march together as the columns of one block, one
+right-hand side each, in buffers allocated once per march.  Gradients are
 centered differences by default, with a monotone upwind fallback for a
 column whose discrete min/max bound is ever violated; that column alone is
 re-marched.  Artificial boundaries use zero-slope conditions, which is
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .measures import AmbiguityInterval
 from .terminal import TerminalFunction
@@ -79,13 +83,24 @@ class GeneratorSpec:
         return _generator(z, self.kappa, self.epsilon)
 
 
-def _generator(z: np.ndarray, kappa: float, eps) -> np.ndarray:
-    """kappa*(sqrt(z^2 + eps^2) - eps), eps broadcast against z.
+def _generator(z: np.ndarray, kappa: float, eps, out: np.ndarray | None = None) -> np.ndarray:
+    """kappa*max(sqrt(z*z + eps*eps) - eps, 0), eps broadcast against z,
+    written into ``out`` when given (it may be ``z`` itself).
 
-    hypot keeps g(0) exactly zero, so constants stay fixed points, and
-    hypot(z, 0) is |z| exactly, so eps = 0 gives kappa*|z| bit for bit.
+    sqrt(z*z) is |z| exactly, so eps = 0 gives kappa*|z| bit for bit.  The
+    clamp keeps g(0) exactly zero, so constants stay fixed points, even when
+    eps*eps underflows, and keeps g >= 0.  Below |z| of about 1e-154, z*z
+    underflows and g is computed as if z were 0 there.
     """
-    return kappa * (np.hypot(z, eps) - eps)
+    if out is None:
+        out = np.empty(np.broadcast(z, eps).shape)
+    np.multiply(z, z, out=out)
+    out += eps * eps
+    np.sqrt(out, out=out)
+    out -= eps
+    np.maximum(out, 0.0, out=out)
+    out *= kappa
+    return out
 
 
 @dataclass(frozen=True)
@@ -118,57 +133,73 @@ class PdeGrid:
         return np.linspace(self.x_min, self.x_max, self.nx)
 
 
-def _tridiagonal(nx: int, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(I - dt/2 * D2) with zero-slope boundaries: sub-, main and super-diagonal."""
-    dl = np.full(nx - 1, -0.5 * r)
+def _tridiagonal(nx: int, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """(I - dt/2 * D2) with zero-slope boundaries, first and last rows halved:
+    main and off-diagonal of the symmetric positive definite system.
+
+    The ghost-node reflection doubles the outer off-diagonal entry of the two
+    end rows to -r; halving those rows makes them (1 + r)/2 and -r/2, so the
+    matrix is symmetric and strictly diagonally dominant.  A right-hand side
+    takes the same halving of its end entries.
+    """
     d = np.full(nx, 1.0 + r)
-    du = np.full(nx - 1, -0.5 * r)
-    du[0] = -r  # ghost-node reflection at the two ends
-    dl[-1] = -r
-    return dl, d, du
+    d[[0, -1]] *= 0.5
+    return d, np.full(nx - 1, -0.5 * r)
 
 
 def _march(
     v0: np.ndarray,
     kappa: float,
     eps: np.ndarray,
-    lu: tuple,
+    ldl: tuple,
     dx: float,
     dt: float,
     steps: int,
     scheme: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """March v0 backward ``steps`` times, once per entry of ``eps``, as the
-    columns of one Fortran-ordered (nx, k) block solved against the LU
-    factors ``lu``.  Returns the block and a mask of the columns that kept
-    the discrete max principle; a column that breaks it stops marching, and
-    its entries in the block are meaningless."""
+    columns of one Fortran-ordered (nx, k) block solved against the LDL^T
+    factors ``ldl`` of the halved system of :func:`_tridiagonal`.  Returns
+    the block and a mask of the columns that kept the discrete max
+    principle; a column that breaks it stops marching, and its entries in
+    the block are meaningless."""
     lo = float(np.min(v0))
     hi = float(np.max(v0))
     slack = 1e-8 * (1.0 + abs(hi) + abs(lo))
     k = len(eps)
     out = np.tile(v0, (k, 1)).T
+    # the step is written in place: gradient, then generator, then the
+    # right-hand side, which pttrs overwrites with the next solution
+    rhs = np.empty_like(out, order="F")
+    diff = np.empty((len(v0) - 1, k), order="F") if scheme == "upwind" else None
     active = np.arange(k)
     for _ in range(steps):
-        grad = np.zeros_like(out)
         if scheme == "centered":
-            grad[1:-1] = (out[2:] - out[:-2]) / (2.0 * dx)
+            np.subtract(out[2:], out[:-2], out=rhs[1:-1])
+            rhs[1:-1] /= 2.0 * dx
+            rhs[0] = rhs[-1] = 0.0
         else:  # monotone upwind: slope = max(-D^-, D^+, 0)
-            backward = np.empty_like(out)
-            forward = np.empty_like(out)
-            backward[1:] = (out[1:] - out[:-1]) / dx
-            backward[0] = 0.0
-            forward[:-1] = (out[1:] - out[:-1]) / dx
-            forward[-1] = 0.0
-            np.maximum(-backward, forward, out=grad)
-            np.maximum(grad, 0.0, out=grad)
-        ham = _generator(grad, kappa, eps)
-        out, _ = dgttrs(*lu, out + dt * ham, overwrite_b=True)
+            np.subtract(out[1:], out[:-1], out=diff)
+            diff /= dx
+            np.negative(diff[:-1], out=rhs[1:-1])
+            np.maximum(rhs[1:-1], diff[1:], out=rhs[1:-1])
+            rhs[0] = diff[0]
+            rhs[-1] = -diff[-1]
+            np.maximum(rhs, 0.0, out=rhs)
+        _generator(rhs, kappa, eps, out=rhs)
+        rhs *= dt
+        rhs += out
+        rhs[0] *= 0.5
+        rhs[-1] *= 0.5
+        rhs, _ = dpttrs(*ldl, rhs, overwrite_b=True)
+        out, rhs = rhs, out
         bad = (out.min(axis=0) < lo - slack) | (out.max(axis=0) > hi + slack)
         if bad.any():
             active, eps, out = active[~bad], eps[~bad], np.asfortranarray(out[:, ~bad])
             if not active.size:
                 break
+            rhs = rhs[:, :active.size]
+            diff = diff[:, :active.size] if diff is not None else None
     block = np.empty((len(v0), k), order="F")
     block[:, active] = out
     return block, np.isin(np.arange(k), active)
@@ -196,12 +227,12 @@ def _solve_profiles(
         raise UnstableGrid(
             f"dt*kappa = {kappa * dt:.3g} exceeds dx = {dx:.3g}; refine nt"
         )
-    *lu, info = dgttrf(*_tridiagonal(grid.nx, dt / (dx * dx)))
+    *ldl, info = dpttrf(*_tridiagonal(grid.nx, dt / (dx * dx)))
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal factorization failed (info={info})")
-    block, ok = _march(v0, kappa, eps, lu, dx, dt, steps, "centered")
+    block, ok = _march(v0, kappa, eps, ldl, dx, dt, steps, "centered")
     for j in np.flatnonzero(~ok):
-        column, fine = _march(v0, kappa, eps[j:j + 1], lu, dx, dt, steps, "upwind")
+        column, fine = _march(v0, kappa, eps[j:j + 1], ldl, dx, dt, steps, "upwind")
         if not fine[0]:
             raise _MaxPrincipleViolated()
         block[:, j] = column[:, 0]

@@ -289,7 +289,7 @@ def _advance(state: StatState, x, rule: SwitchRule):
     if state.exact:
         new = state.M.shift(*inc.exact(to_fraction(x), mu, n))
     else:
-        new = inc.advance(state.M, float(x), mu, n, float(rule.interval.sigma))
+        new = inc.advance(state.M, _as_float(x), mu, n, float(rule.interval.sigma))
     return mu, StatState(state.m + 1, n, new, state.variant)
 
 
@@ -307,14 +307,22 @@ def _check_path(xs: Sequence, n: int, variant: str) -> Increment:
     return _FOLD_INCREMENT[variant]
 
 
+def _as_float(x) -> float:
+    """float(x); a string goes through to_fraction, so "p/q" reads as exact
+    mode reads it, and a decimal string keeps its correctly rounded float."""
+    return float(to_fraction(x)) if isinstance(x, str) else float(x)
+
+
 def _fold_float(xs: Sequence, n: int, rule: SwitchRule, inc: Increment):
     """(mu_m, M_m) for m = 1..n, in the float steps of update_statistic."""
     lo, hi = rule.mean_pair()
     sigma = float(rule.interval.sigma)
+    # _as_float inline: a call per step would cost more than the step's float()
+    xs = [float(to_fraction(x)) if isinstance(x, str) else float(x) for x in xs]
     M = 0.0
     for m, x in enumerate(xs, 1):
         mu = hi if rule.upper(M, rule.threshold(m, n), inc.tilde) else lo
-        M = inc.advance(M, float(x), mu, n, sigma)
+        M = inc.advance(M, x, mu, n, sigma)
         yield mu, M
 
 

@@ -175,6 +175,20 @@ class TestErrorsAndExitCodes:
         code = run_cli(["dp", "--theorem", "clt", "--n", "4"])
         assert code == 2
 
+    def test_missing_data_file_exits_2(self, tmp_path, capsys):
+        code = run_cli(["hyptest", "--kappa", "0.3", "--alpha", "0.05",
+                        "--data", str(tmp_path / "missing.csv")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+
+    def test_missing_measures_file_exits_2(self, tmp_path, capsys):
+        code = run_cli(["dp", "--theorem", "special", "--measures", str(tmp_path / "missing.txt"),
+                        "--a", "-1", "--b", "1", "--n", "4"])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+
     def test_numeric_error_exits_4(self, capsys):
         # dt*kappa exceeds dx: the scheme's step bound rejects the grid
         code = run_cli(["pde", "--kappa", "5", "--a", "-1", "--b", "1",

@@ -54,6 +54,19 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError):
             GeneratorSpec(0.1, -0.5)
 
+    @pytest.mark.parametrize("kappa", [0.3, 2.0])
+    @pytest.mark.parametrize("eps", [0.0, 1e-200, 1e-140, 0.025, 0.2, 1.0])
+    def test_contract_over_the_float_range(self, kappa, eps):
+        mags = np.logspace(-150, 150, 601)
+        z = np.concatenate([-mags[::-1], [0.0], mags])
+        g = GeneratorSpec(kappa, eps).g(z)
+        assert g[len(mags)] == 0.0
+        assert np.all(g >= 0.0) and np.all(g <= kappa * np.abs(z))
+        gap = np.abs(g - kappa * (np.hypot(z, eps) - eps))
+        assert np.all(gap <= 4 * np.spacing(kappa * np.hypot(z, eps)))
+        if eps == 0.0:
+            assert np.array_equal(g, kappa * np.abs(z))
+
 
 class TestGrid:
     def test_must_straddle_zero(self):
@@ -140,6 +153,51 @@ class TestEpsExtrapolation:
         phi = TerminalFunction.smoothed_indicator(-1, 1, 0.05)
         with pytest.raises(ValueError):
             epsilon_extrapolate(phi, 0.3, COARSE, [0.1, 0.2])
+
+
+class TestDiffusionSolve:
+    # epsilon_extrapolate on the default grid, indicator [-1, 1] smoothed at
+    # h, as the general-LU march with the hypot generator gave it: (value
+    # extrapolated to eps = 0, values along EPS_SWEEP)
+    PINNED = {
+        (0.0, 0.05): (0.6821495928861459, (0.6821495928861459, 0.6821495928861459,
+                                           0.6821495928861459, 0.6821495928861459)),
+        (0.0, 0.02): (0.6826571982273363, (0.6826571982273363, 0.6826571982273363,
+                                           0.6826571982273363, 0.6826571982273363)),
+        (0.3, 0.05): (0.7685349199725818, (0.7392426479402364, 0.7507297983047893,
+                                           0.7586618792636505, 0.7635983996181162)),
+        (0.3, 0.02): (0.7691624150543885, (0.7399280262783621, 0.7513927354520031,
+                                           0.7593089366794097, 0.7642356758668991)),
+        (0.6, 0.05): (0.8379644564414741, (0.7871345945438217, 0.8067238523036441,
+                                           0.8204311187210578, 0.8291977875812659)),
+        (0.6, 0.02): (0.8386377545222357, (0.7879383947158433, 0.8074756979920341,
+                                           0.8211474627062656, 0.8298926086142506)),
+    }
+
+    @pytest.mark.parametrize("nx", [41, 201])
+    def test_one_step_equals_the_dense_unhalved_solve(self, nx):
+        grid = PdeGrid(-10.0, 10.0, nx, 20)
+        kappa, eps, dx, dt = 0.6, 0.05, grid.dx, 1.0 / grid.nt
+        # nonzero at both ends, so the boundary rows count
+        v0 = (TerminalFunction.smoothed_indicator(-1, 1, 0.5).sample(grid.x)
+              + 0.3 * np.cos(grid.x))
+        got = pde._solve_profiles(v0, kappa, [eps], grid, dt, 1)[:, 0]
+        r = dt / (dx * dx)
+        a = (np.diag(np.full(nx, 1.0 + r)) + np.diag(np.full(nx - 1, -0.5 * r), 1)
+             + np.diag(np.full(nx - 1, -0.5 * r), -1))
+        a[0, 1] = a[-1, -2] = -r  # zero-slope ghost nodes
+        grad = np.zeros(nx)
+        grad[1:-1] = (v0[2:] - v0[:-2]) / (2.0 * dx)
+        want = np.linalg.solve(a, v0 + dt * kappa * (np.hypot(grad, eps) - eps))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kappa, h", list(PINNED))
+    def test_default_grid_extrapolations_are_pinned(self, kappa, h):
+        phi = TerminalFunction.smoothed_indicator(-1, 1, h)
+        res = epsilon_extrapolate(phi, kappa, PdeGrid.default(), EPS_SWEEP)
+        extrapolated, values = self.PINNED[kappa, h]
+        assert res.extrapolated == pytest.approx(extrapolated, rel=0, abs=1e-12)
+        assert res.values == pytest.approx(values, rel=0, abs=1e-12)
 
 
 class TestUpwindFallback:

@@ -243,12 +243,17 @@ class TestFold:
         exact = path_statistic(inputs, n, rule, variant, exact=True)
         want = _chain(inputs, n, rule, variant, exact=True)[-1][1]
         assert (str(exact.u), str(exact.w)) == (str(want.u), str(want.w))
-        # float() reads decimal strings but not "p/q" ones
-        inputs = [repr(float(Fraction(x))) if isinstance(x, str) else x for x in inputs]
         chain = _chain(inputs, n, rule, variant)
         assert repr(path_statistic(inputs, n, rule, variant)) == repr(chain[-1][1])
         rows = statistic_trace(inputs, n, rule, variant)
         assert repr(rows) == repr([(m, mu, M) for m, (mu, M) in enumerate(chain, 1)])
+
+    def test_float_fold_reads_ratio_strings(self):
+        rule = SwitchRule(0, IV)
+        want = path_statistic([1 / 3, 1, -1], 3, rule)
+        assert path_statistic(["1/3", 1, -1], 3, rule) == want
+        state = update_statistic(initial_state(3), "1/3", rule)
+        assert state.M == update_statistic(initial_state(3), 1 / 3, rule).M
 
     @pytest.mark.parametrize("variant, head", [(VARIANT_TILDE, [0, 0]), (VARIANT_M, [-1, 0, 0, 1])])
     def test_ties_at_a_rational_root_horizon(self, variant, head, monkeypatch):
