@@ -15,7 +15,7 @@ Time marching is implicit in the diffusion and explicit in the gradient
 nonlinearity.  The diffusion matrix is constant.  With its first and last
 (zero-slope ghost-node) rows halved, which is exact in binary, it is
 symmetric positive definite, so each march factors it once as LDL^T (LAPACK
-``pttrf``) and every step is one tridiagonal solve (``pttrs``) against a
+``dpttrf``) and every step is one tridiagonal solve (``dpttrs``) against a
 right-hand side whose end entries are halved likewise.  The several eps of
 :func:`epsilon_extrapolate` march together as the columns of one block, one
 right-hand side each, in buffers allocated once per march.  Gradients are
@@ -80,7 +80,7 @@ class GeneratorSpec:
 
     def g(self, z: np.ndarray) -> np.ndarray:
         """g_eps(z) = kappa*(sqrt(z^2 + eps^2) - eps); kappa*|z| at eps = 0."""
-        return _generator(z, self.kappa, self.epsilon)
+        return _generator(z, self.kappa, self.epsilon)[()]  # a scalar for a scalar z
 
 
 def _generator(z: np.ndarray, kappa: float, eps, out: np.ndarray | None = None) -> np.ndarray:
@@ -139,8 +139,8 @@ def _tridiagonal(nx: int, r: float) -> tuple[np.ndarray, np.ndarray]:
 
     The ghost-node reflection doubles the outer off-diagonal entry of the two
     end rows to -r; halving those rows makes them (1 + r)/2 and -r/2, so the
-    matrix is symmetric and strictly diagonally dominant.  A right-hand side
-    takes the same halving of its end entries.
+    matrix is symmetric and strictly diagonally dominant, ready for dpttrf.
+    A right-hand side takes the same halving of its end entries.
     """
     d = np.full(nx, 1.0 + r)
     d[[0, -1]] *= 0.5
@@ -169,7 +169,7 @@ def _march(
     k = len(eps)
     out = np.tile(v0, (k, 1)).T
     # the step is written in place: gradient, then generator, then the
-    # right-hand side, which pttrs overwrites with the next solution
+    # right-hand side, which dpttrs overwrites with the next solution
     rhs = np.empty_like(out, order="F")
     diff = np.empty((len(v0) - 1, k), order="F") if scheme == "upwind" else None
     active = np.arange(k)

@@ -317,8 +317,10 @@ def _fold_float(xs: Sequence, n: int, rule: SwitchRule, inc: Increment):
     """(mu_m, M_m) for m = 1..n, in the float steps of update_statistic."""
     lo, hi = rule.mean_pair()
     sigma = float(rule.interval.sigma)
-    # _as_float inline: a call per step would cost more than the step's float()
-    xs = [float(to_fraction(x)) if isinstance(x, str) else float(x) for x in xs]
+    try:
+        xs = list(map(float, xs))
+    except ValueError:  # float() reads decimal strings but not "p/q" ones
+        xs = list(map(_as_float, xs))
     M = 0.0
     for m, x in enumerate(xs, 1):
         mu = hi if rule.upper(M, rule.threshold(m, n), inc.tilde) else lo

@@ -38,6 +38,7 @@ class TestGeneratorSpec:
     def test_vanishes_at_zero_exactly(self):
         gen = GeneratorSpec(0.3, 0.05)
         assert gen.g(np.array([0.0]))[0] == 0.0
+        assert type(gen.g(0.0)) is np.float64 and gen.g(0.0) == 0.0
 
     def test_smoothing_gap_bounded(self):
         z = np.linspace(-5, 5, 101)
