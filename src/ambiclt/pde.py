@@ -90,7 +90,8 @@ def _generator(z: np.ndarray, kappa: float, eps, out: np.ndarray | None = None) 
     sqrt(z*z) is |z| exactly, so eps = 0 gives kappa*|z| bit for bit.  The
     clamp keeps g(0) exactly zero, so constants stay fixed points, even when
     eps*eps underflows, and keeps g >= 0.  Below |z| of about 1e-154, z*z
-    underflows and g is computed as if z were 0 there.
+    underflows and g is computed as if z were 0 there; above |z| of about
+    1.3e154, z*z overflows and g is inf where kappa*|z| is finite.
     """
     if out is None:
         out = np.empty(np.broadcast(z, eps).shape)

@@ -308,19 +308,19 @@ def _check_path(xs: Sequence, n: int, variant: str) -> Increment:
 
 
 def _as_float(x) -> float:
-    """float(x); a string goes through to_fraction, so "p/q" reads as exact
-    mode reads it, and a decimal string keeps its correctly rounded float."""
-    return float(to_fraction(x)) if isinstance(x, str) else float(x)
+    """float(x); a "p/q" string, which float() rejects, goes through
+    to_fraction and reads as exact mode reads it, correctly rounded."""
+    try:
+        return float(x)
+    except ValueError:
+        return float(to_fraction(x))
 
 
 def _fold_float(xs: Sequence, n: int, rule: SwitchRule, inc: Increment):
     """(mu_m, M_m) for m = 1..n, in the float steps of update_statistic."""
     lo, hi = rule.mean_pair()
     sigma = float(rule.interval.sigma)
-    try:
-        xs = list(map(float, xs))
-    except ValueError:  # float() reads decimal strings but not "p/q" ones
-        xs = list(map(_as_float, xs))
+    xs = list(map(_as_float, xs))
     M = 0.0
     for m, x in enumerate(xs, 1):
         mu = hi if rule.upper(M, rule.threshold(m, n), inc.tilde) else lo

@@ -254,6 +254,11 @@ class TestFold:
         assert path_statistic(["1/3", 1, -1], 3, rule) == want
         state = update_statistic(initial_state(3), "1/3", rule)
         assert state.M == update_statistic(initial_state(3), 1 / 3, rule).M
+        # strings float() reads keep its reading, beside "p/q" ones too
+        for text in ("inf", "1e400", "-2.5"):
+            want = update_statistic(initial_state(3), float(text), rule).M
+            assert update_statistic(initial_state(3), text, rule).M == want
+            assert path_statistic(["1/3", text, -1], 3, rule) == path_statistic([1 / 3, float(text), -1], 3, rule)
 
     @pytest.mark.parametrize("variant, head", [(VARIANT_TILDE, [0, 0]), (VARIANT_M, [-1, 0, 0, 1])])
     def test_ties_at_a_rational_root_horizon(self, variant, head, monkeypatch):
