@@ -231,13 +231,16 @@ def _solve_profiles(
     *ldl, info = dpttrf(*_tridiagonal(grid.nx, dt / (dx * dx)))
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal factorization failed (info={info})")
-    block, ok = _march(v0, kappa, eps, ldl, dx, dt, steps, "centered")
+    # at kappa = 0 the generator is identically zero, so every column is the
+    # same march: one is marched and repeated
+    marched = eps[:1] if kappa == 0 else eps
+    block, ok = _march(v0, kappa, marched, ldl, dx, dt, steps, "centered")
     for j in np.flatnonzero(~ok):
-        column, fine = _march(v0, kappa, eps[j:j + 1], ldl, dx, dt, steps, "upwind")
+        column, fine = _march(v0, kappa, marched[j:j + 1], ldl, dx, dt, steps, "upwind")
         if not fine[0]:
             raise _MaxPrincipleViolated()
         block[:, j] = column[:, 0]
-    return block
+    return np.tile(block, (1, len(eps))) if kappa == 0 else block
 
 
 def _solve_profile(

@@ -692,7 +692,7 @@ class DriftPolicy:
         lo_idx, hi_idx = (i_lo, i_hi) if favorable_below else (i_hi, i_lo)
 
         def fn(m, M, n):
-            return np.where(rule.upper(M, rule.threshold(m, n)), hi_idx, lo_idx)
+            return lo_idx + (hi_idx - lo_idx) * rule.upper(M, rule.threshold(m, n))
 
         label = "threshold" if favorable_below else "anti-threshold"
         return cls("statistic_threshold", fn, label)
@@ -728,9 +728,10 @@ def builtin_policies(L: MeasureSet, rule: SwitchRule) -> list[DriftPolicy]:
 
 
 # paths simulated at once: the draws held are one float64 array of this many
-# rows by n, whatever the path count.  A step reads a strided column of it; a
-# step-major copy of each chunk saved about 5% of the time on 100k-path runs
-# but doubled the memory.
+# rows by n, whatever the path count.  Each step copies its strided column of
+# uniforms once into a contiguous buffer; a transposed copy of the whole chunk
+# would make every column contiguous but holds a second chunk of draws (13 MB
+# at n = 200), about a tenth of a 100k-path run's peak memory.
 _CHUNK_PATHS = 8192
 
 
@@ -754,8 +755,18 @@ def simulate_statistic_values(
     consecutive rows, so memory is bounded by the chunk, not by ``paths``.
     The policy sees one chunk's statistic values at a time, so a policy
     that decides each path from its own value (every builtin one does)
-    gives the same values bit for bit in any chunking.  Only the chosen
-    law's outcome is drawn: the inverse CDF of that law at the uniform.
+    gives the same values bit for bit in any chunking.  It must return
+    indices of laws of L, in [0, k); any other index raises ValueError.
+    Only the chosen law's outcome is drawn: the inverse CDF of that law at
+    the uniform.
+
+    A step of :meth:`Increment.advance` adds a drift term that depends on
+    the outcome only, then a noise term that depends on the outcome and the
+    center: the rule's lower or upper mean for the switching variants, the
+    chosen law's center otherwise.  Both terms are tabulated once per call
+    with the operations ``advance`` performs, so a step adds two table
+    entries to M in ``advance``'s order and the values are the ones
+    ``advance`` gives, bit for bit.
     """
     inc = increment(variant, alpha, beta)
     if n < 1:
@@ -765,33 +776,49 @@ def simulate_statistic_values(
     _check_rule(variant, rule, L)
     iv = validate_measure_set(L)
     sigma = float(iv.sigma)
+    k = len(L.laws)
     values = np.array([float(v) for v in L.values])
-    centers = np.array([float(c) for c in inc.law_centers(L.means())])
+    if inc.switching:  # center j: the lower (0) or the upper (1) mean
+        centers = np.array(rule.mean_pair())
+    else:  # center j: law j's
+        centers = np.array([float(c) for c in inc.law_centers(L.means())])
+    width = len(centers)
+    step_x = float(inc.drift) * values / n
+    # row-major by outcome: the entry of (outcome, center j) is outcome*width + j
+    # (lln has no noise term: its entries are zeros, and adding a zero leaves
+    # M as it is, M starting at +0.0 and so never being -0.0)
+    step_c = float(inc.noise) * (values[:, None] - centers) / (sigma * math.sqrt(n))
+    step_c = step_c.ravel()
     # column c: every law's CDF at outcome c; the last column (1) is never needed
-    cdf_columns = np.array([np.cumsum([float(p) for p in law.probs]) for law in L.laws]).T[:-1]
+    first, *rest = np.array([np.cumsum([float(p) for p in law.probs]) for law in L.laws]).T[:-1]
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     chunk = min(_CHUNK_PATHS, paths)
     draws = np.empty((chunk, n))  # one row per path, reused by every chunk
+    u_buf = np.empty(chunk)  # the step's uniforms, contiguous
+    key_buf = np.empty(chunk, dtype=np.intp)  # the step's outcome, then its table entry
     out = np.empty(paths)
     for start in range(0, paths, chunk):
         rows = min(chunk, paths - start)
-        uniforms = draws[:rows]
+        uniforms, u, key = draws[:rows], u_buf[:rows], key_buf[:rows]
         rng.random(out=uniforms)
-        M = np.zeros(rows)
+        M = out[start:start + rows]
+        M[:] = 0.0
         for m in range(1, n + 1):
-            idx = np.asarray(policy.fn(m, M, n), dtype=int)
-            u = uniforms[:, m - 1]
-            outcome = np.zeros(rows, dtype=np.intp)
-            for column in cdf_columns:  # searchsorted(cdf, u, side="right")
-                outcome += column[idx] <= u
-            x = values[outcome]
-            if inc.switching:
-                mu = rule.mean(M, rule.threshold(m, n), inc.tilde)
-            else:
-                mu = centers[idx]
-            M = inc.advance(M, x, mu, n, sigma)
-        out[start:start + rows] = M
+            idx = np.asarray(policy.fn(m, M, n), dtype=np.intp)
+            if idx.min() < 0 or idx.max() >= k:
+                raise ValueError(f"policy {policy.label!r} chose a law index outside "
+                                 f"[0, {k}) at step {m}")
+            np.copyto(u, uniforms[:, m - 1])
+            # the outcome: searchsorted(cdf, u, side="right") in the chosen law's cdf
+            np.less_equal(first[idx], u, out=key)
+            for cdf in rest:
+                key += cdf[idx] <= u
+            j = rule.upper(M, rule.threshold(m, n), inc.tilde) if inc.switching else idx
+            M += step_x[key]
+            key *= width
+            key += j
+            M += step_c[key]
     return out
 
 

@@ -144,6 +144,23 @@ class TestEpsExtrapolation:
         assert len(set(res.values)) == 1
         assert res.extrapolated == res.values[0]
 
+    def test_zero_kappa_marches_one_column(self, monkeypatch):
+        # the generator is identically zero: every eps gives the one-entry solve
+        phi = TerminalFunction.smoothed_indicator(-1, 1, 0.05)
+        single = epsilon_extrapolate(phi, 0.0, COARSE, [0.3])
+        calls = []
+        march = pde._march
+
+        def spy(v0, kappa, eps, *args):
+            calls.append((args[-1], eps.tolist()))
+            return march(v0, kappa, eps, *args)
+
+        monkeypatch.setattr(pde, "_march", spy)
+        res = epsilon_extrapolate(phi, 0.0, COARSE, EPS_SWEEP)
+        assert calls == [("centered", [0.2])]
+        assert res.values == single.values * len(EPS_SWEEP)
+        assert res.extrapolated == single.extrapolated
+
     def test_values_rise_as_eps_falls(self):
         phi = TerminalFunction.smoothed_indicator(-1, 1, 0.05)
         res = epsilon_extrapolate(phi, 0.4, COARSE, EPS_SWEEP)

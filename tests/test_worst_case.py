@@ -441,10 +441,11 @@ class TestCaps:
         assert value == enumerate_worst_case(COIN, BOX, 5, "clt")
 
 
-def all_laws_statistic_values(L, policy, variant, n, paths, seed, rule=None):
+def all_laws_statistic_values(L, policy, variant, n, paths, seed, rule=None,
+                              alpha=1.0, beta=1.0):
     """Reference simulation: the whole paths x n draw matrix at once, and
     every law's outcome drawn at every step before the policy picks one."""
-    inc = increment(variant)
+    inc = increment(variant, alpha, beta)
     sigma = float(validate_measure_set(L).sigma)
     values = np.array([float(v) for v in L.values])
     centers = np.array([float(c) for c in inc.law_centers(L.means())])
@@ -464,17 +465,47 @@ def all_laws_statistic_values(L, policy, variant, n, paths, seed, rule=None):
 class TestMonteCarloChunks:
     PATHS = 23
 
+    @staticmethod
+    def assert_matches(L, center, n, paths, variants=VARIANTS, alpha=1.0, beta=1.0):
+        rule = SwitchRule(center, validate_measure_set(L))
+        for variant in variants:
+            for k, pol in enumerate(builtin_policies(L, rule)):
+                want = all_laws_statistic_values(L, pol, variant, n, paths, 40 + k, rule,
+                                                 alpha, beta)
+                got = simulate_statistic_values(L, pol, variant, n, paths, 40 + k,
+                                                rule=rule, alpha=alpha, beta=beta)
+                assert np.array_equal(got, want), (variant, pol.label)
+
     @pytest.mark.parametrize("chunk", [1, 7, PATHS])
-    @pytest.mark.parametrize("L", [COIN, THREE], ids=["coin", "three-laws"])
+    @pytest.mark.parametrize("L", [COIN, THREE, COIN.shifted("1/4")],
+                             ids=["coin", "three-laws", "shifted-coin"])
     def test_values_match_the_all_laws_simulation(self, monkeypatch, L, chunk):
         monkeypatch.setattr(worst_case, "_CHUNK_PATHS", chunk)
-        rule = SwitchRule(0.0, validate_measure_set(L))
-        for variant in VARIANTS:
-            for k, pol in enumerate(builtin_policies(L, rule)):
-                want = all_laws_statistic_values(L, pol, variant, 9, self.PATHS, 40 + k, rule)
-                got = simulate_statistic_values(L, pol, variant, 9, self.PATHS, 40 + k,
-                                                rule=rule)
-                assert np.array_equal(got, want), (variant, pol.label)
+        self.assert_matches(L, 0.0, 9, self.PATHS)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 2.0), (1.5, 0.0)])
+    @pytest.mark.parametrize("chunk", [7, PATHS])
+    def test_scaled_weights(self, monkeypatch, chunk, alpha, beta):
+        monkeypatch.setattr(worst_case, "_CHUNK_PATHS", chunk)
+        for L in (COIN, THREE):
+            self.assert_matches(L, 0.0, 9, self.PATHS, ["scaled"], alpha, beta)
+
+    @pytest.mark.parametrize("center", [0.17, math.inf, -math.inf])
+    @pytest.mark.parametrize("L", [COIN, COIN.shifted("1/4")], ids=["coin", "shifted-coin"])
+    def test_switching_centers(self, monkeypatch, L, center):
+        monkeypatch.setattr(worst_case, "_CHUNK_PATHS", 7)
+        self.assert_matches(L, center, 9, self.PATHS, ["special", "tilde"])
+
+    def test_one_step_horizon(self, monkeypatch):
+        monkeypatch.setattr(worst_case, "_CHUNK_PATHS", 7)
+        for L in (COIN, THREE):
+            self.assert_matches(L, 0.0, 1, self.PATHS)
+
+    @pytest.mark.parametrize("paths", [7, 9])
+    def test_paths_one_off_the_chunk(self, monkeypatch, paths):
+        monkeypatch.setattr(worst_case, "_CHUNK_PATHS", 8)
+        for L in (COIN, THREE):
+            self.assert_matches(L, 0.0, 9, paths)
 
 
 class TestMonteCarlo:
@@ -516,6 +547,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="n must be at least 1"):
             mc_policy_value(COIN, DriftPolicy.threshold(COIN, RULE), BOX, "special", 0, 10,
                             seed=1, rule=RULE)
+
+    @pytest.mark.parametrize("variant", ["special", "clt"])
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_policy_index_outside_the_laws_is_rejected(self, variant, index):
+        policy = DriftPolicy.from_table({3: index})
+        with pytest.raises(ValueError, match=r"law index outside \[0, 2\) at step 3"):
+            simulate_statistic_values(COIN, policy, variant, 5, 10, seed=1, rule=RULE)
 
     def test_policy_table_and_callable(self):
         table = DriftPolicy.from_table({1: 1, 2: 0}, default=0)
