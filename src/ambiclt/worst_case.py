@@ -755,8 +755,8 @@ def simulate_statistic_values(
     consecutive rows, so memory is bounded by the chunk, not by ``paths``.
     The policy sees one chunk's statistic values at a time, so a policy
     that decides each path from its own value (every builtin one does)
-    gives the same values bit for bit in any chunking.  It must return
-    indices of laws of L, in [0, k); any other index raises ValueError.
+    gives the same values bit for bit in any chunking.  For the k laws of
+    L it must return indices in [0, k); any other index raises ValueError.
     Only the chosen law's outcome is drawn: the inverse CDF of that law at
     the uniform.
 
@@ -787,8 +787,7 @@ def simulate_statistic_values(
     # row-major by outcome: the entry of (outcome, center j) is outcome*width + j
     # (lln has no noise term: its entries are zeros, and adding a zero leaves
     # M as it is, M starting at +0.0 and so never being -0.0)
-    step_c = float(inc.noise) * (values[:, None] - centers) / (sigma * math.sqrt(n))
-    step_c = step_c.ravel()
+    step_c = (float(inc.noise) * (values[:, None] - centers) / (sigma * math.sqrt(n))).ravel()
     # column c: every law's CDF at outcome c; the last column (1) is never needed
     first, *rest = np.array([np.cumsum([float(p) for p in law.probs]) for law in L.laws]).T[:-1]
 
