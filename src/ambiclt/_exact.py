@@ -33,7 +33,8 @@ def to_fraction(x: Numeric) -> Fraction:
 
     Floats are read through their shortest decimal representation, so
     ``to_fraction(0.6) == Fraction(3, 5)``.  Strings accept both decimals
-    ("0.25") and ratios ("1/4").
+    ("0.25") and ratios ("1/4"); any other string, "inf" and "1/0" among
+    them, raises ValueError.
     """
     if isinstance(x, Fraction):
         return x
@@ -47,9 +48,10 @@ def to_fraction(x: Numeric) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         text = x.strip()
-        if "/" in text:
-            return Fraction(text)
-        return Fraction(Decimal(text))
+        try:
+            return Fraction(text) if "/" in text else Fraction(Decimal(text))
+        except (ArithmeticError, ValueError):  # decimal.InvalidOperation, 1/0, inf
+            raise ValueError(f"cannot read {x!r} as a number") from None
     raise TypeError(f"cannot coerce {type(x).__name__} to a fraction")
 
 

@@ -161,14 +161,11 @@ def _terminal(args) -> TerminalFunction:
     b = getattr(args, "b", None)
     if a is None and b is None:
         raise ConfigError("need at least one of --a/--b for the indicator")
-    if a is None:
-        return TerminalFunction.left(repr(b))
-    if b is None:
-        return TerminalFunction.right(repr(a))
     h = getattr(args, "h", None)
-    if h:
+    if h and a is not None and b is not None:
         return TerminalFunction.smoothed_indicator(a, b, h)
-    return TerminalFunction.indicator(repr(a), repr(b))
+    return TerminalFunction.indicator(-math.inf if a is None else repr(a),
+                                      math.inf if b is None else repr(b))
 
 
 # ---------------------------------------------------------------------------

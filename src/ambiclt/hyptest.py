@@ -58,9 +58,6 @@ class TestSpec:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
 
-    def error_interval(self):
-        return interval(-self.kappa, self.kappa, self.sigma)
-
 
 def _coverage(kappa: float, a: float, b: float) -> float:
     return upper_indicator_limit(interval(-kappa, kappa), a, b)

@@ -234,8 +234,11 @@ def measure_set_from_text(text: str) -> MeasureSet:
                     f"line {lineno}: expected value:prob pairs, got {token!r}"
                 )
             vtext, ptext = token.split(":", 1)
-            values.append(to_fraction(vtext))
-            probs.append(to_fraction(ptext))
+            try:
+                values.append(to_fraction(vtext))
+                probs.append(to_fraction(ptext))
+            except ValueError as exc:
+                raise MeasureError(f"line {lineno}: {exc}") from None
         laws.append(DiscreteMeasure(tuple(values), tuple(probs)))
     if not laws:
         raise MeasureError("no laws found in config text")

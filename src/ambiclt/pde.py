@@ -251,10 +251,8 @@ def _solve_profile(
 
 def _terminal_samples(phi: TerminalFunction, grid: PdeGrid) -> np.ndarray:
     # sharp indicators are always mollified before solving
-    if phi.kind in ("indicator", "left", "right"):
-        a = phi.a if phi.kind != "left" else -math.inf
-        b = phi.b if phi.kind != "right" else math.inf
-        phi = TerminalFunction.smoothed_indicator(a, b, 0.05)
+    if phi.supports_exact:
+        phi = TerminalFunction.smoothed_indicator(phi.a, phi.b, 0.05)
     return phi.sample(grid.x)
 
 

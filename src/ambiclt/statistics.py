@@ -279,8 +279,8 @@ def step_mu_tilde(state: StatState, rule: SwitchRule):
     return _center(state, rule)
 
 
-def _advance(state: StatState, x, rule: SwitchRule):
-    """(mu_{m+1}, the state after observing x)."""
+def update_statistic(state: StatState, x, rule: SwitchRule) -> StatState:
+    """Advance one observation: M += x/n + (x - mu)/(sigma*sqrt(n))."""
     if state.m >= state.n:
         raise HorizonExceeded(f"horizon n={state.n} already reached")
     mu = _center(state, rule)
@@ -290,12 +290,7 @@ def _advance(state: StatState, x, rule: SwitchRule):
         new = state.M.shift(*inc.exact(to_fraction(x), mu, n))
     else:
         new = inc.advance(state.M, _as_float(x), mu, n, float(rule.interval.sigma))
-    return mu, StatState(state.m + 1, n, new, state.variant)
-
-
-def update_statistic(state: StatState, x, rule: SwitchRule) -> StatState:
-    """Advance one observation: M += x/n + (x - mu)/(sigma*sqrt(n))."""
-    return _advance(state, x, rule)[1]
+    return StatState(state.m + 1, n, new, state.variant)
 
 
 def _check_path(xs: Sequence, n: int, variant: str) -> Increment:
@@ -383,14 +378,15 @@ def statistic_trace(
 
 
 def read_path_csv(path) -> list[float]:
-    """Read one observation per row; a single header row is skipped."""
+    """Read one observation per row, as the float fold reads it ("p/q"
+    included); a first row that cannot be read is a header and is skipped."""
     out: list[float] = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         for row in csv.reader(handle):
             if not row:
                 continue
             try:
-                out.append(float(row[0]))
+                out.append(_as_float(row[0]))
             except ValueError:
                 if out:
                     raise

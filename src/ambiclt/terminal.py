@@ -1,13 +1,13 @@
 """Terminal payoff functions shared by the dynamic programs and the PDE solver.
 
-The supported kinds are interval indicators (two- and one-sided), their
-Gaussian mollifications, and grid-tabulated values.  Mollification replaces
-the indicator of [a, b] by its Gaussian smoothing at bandwidth h, which has
-the closed form Phi((b-x)/h) - Phi((a-x)/h); it is symmetric about
-(a+b)/2 with slope sign opposite to x - center, exactly the shape the
-switching rules are built for.
+There are three kinds: interval indicators, their Gaussian mollifications,
+and grid-tabulated values.  A one-sided indicator is an interval indicator
+with an infinite endpoint.  Mollification replaces the indicator of [a, b]
+by its Gaussian smoothing at bandwidth h, which has the closed form
+Phi((b-x)/h) - Phi((a-x)/h); it is symmetric about (a+b)/2 with slope sign
+opposite to x - center, exactly the shape the switching rules are built for.
 
-Indicator kinds also evaluate *exactly* at rational statistic values, so the
+Indicators also evaluate *exactly* at rational statistic values, so the
 dynamic programs can classify boundary atoms without rounding.
 """
 
@@ -61,14 +61,12 @@ class TerminalFunction:
     @classmethod
     def left(cls, b) -> "TerminalFunction":
         """Indicator of (-inf, b]."""
-        bf, b_exact = cls._endpoint(b)
-        return cls("left", b=bf, b_exact=b_exact)
+        return cls.indicator(-math.inf, b)
 
     @classmethod
     def right(cls, a) -> "TerminalFunction":
         """Indicator of [a, inf)."""
-        af, a_exact = cls._endpoint(a)
-        return cls("right", a=af, a_exact=a_exact)
+        return cls.indicator(a, math.inf)
 
     @classmethod
     def smoothed_indicator(cls, a, b, h: float) -> "TerminalFunction":
@@ -104,12 +102,9 @@ class TerminalFunction:
         return None
 
     @property
-    def is_sharp(self) -> bool:
-        return self.kind in ("indicator", "left", "right")
-
-    @property
     def supports_exact(self) -> bool:
-        return self.is_sharp
+        """True for a sharp indicator, which evaluates exactly."""
+        return self.kind == "indicator"
 
     def breakpoints(self) -> tuple[float, ...]:
         """Kink/jump locations, for adaptive quadrature."""
@@ -126,17 +121,13 @@ class TerminalFunction:
         x = np.asarray(x, dtype=float)
         if self.kind == "indicator":
             return ((x >= self.a) & (x <= self.b)).astype(float)
-        if self.kind == "left":
-            return (x <= self.b).astype(float)
-        if self.kind == "right":
-            return (x >= self.a).astype(float)
         if self.kind == "smoothed_indicator":
             hi = ndtr((self.b - x) / self.h) if math.isfinite(self.b) else np.ones_like(x)
             lo = ndtr((self.a - x) / self.h) if math.isfinite(self.a) else np.zeros_like(x)
             return np.asarray(hi - lo, dtype=float)
         if self.kind == "tabulated":
             if x.shape != (len(self.values),):
-                raise ValueError("tabulated terminal is defined only on its grid")
+                raise TypeError("tabulated terminal cannot be evaluated off-grid")
             return np.asarray(self.values, dtype=float)
         raise ValueError(f"unknown kind {self.kind!r}")
 
@@ -153,12 +144,4 @@ class TerminalFunction:
             if self.b_exact is not None and value.cmp(self.b_exact) > 0:
                 return _ZERO
             return _ONE
-        if self.kind == "left":
-            if self.b_exact is None:
-                return _ONE if self.b > 0 else _ZERO
-            return _ONE if value.cmp(self.b_exact) <= 0 else _ZERO
-        if self.kind == "right":
-            if self.a_exact is None:
-                return _ONE if self.a < 0 else _ZERO
-            return _ONE if value.cmp(self.a_exact) >= 0 else _ZERO
         raise TypeError(f"{self.kind!r} terminal has no exact evaluation")

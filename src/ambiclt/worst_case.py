@@ -269,10 +269,8 @@ class _Lattice:
         self.exact_tests += int(np.count_nonzero(near))
         return out
 
-    def statistic(self, m: int) -> np.ndarray | None:
-        """``float(self.state(m, i, j))`` of every cell of layer m, or None
-        where an integer numerator or denominator of the canonical (u, w)
-        passes 2**53, so that float64 would round it."""
+    def statistic(self, m: int) -> np.ndarray:
+        """``float(self.state(m, i, j))`` of every cell of layer m."""
         drift, noise, n = self.inc.drift, self.inc.noise, self.n
         # u and w of cell (i, j) as c0 + a*ca + b*cb for the offsets (a, b)
         u = (drift * m * self.x0 / n, drift * self.ux / n, Fraction(0))
@@ -281,43 +279,37 @@ class _Lattice:
         root = sqrt_exact(self.s)
         if root is not None:  # canonical: w is folded into u
             return _rounded([p + q / root for p, q in zip(u, w)], rows, cols)
-        fu, fw = _rounded(u, rows, cols), _rounded(w, rows, cols)
-        if fu is None or fw is None:
-            return None
-        return fu + fw / math.sqrt(float(self.s))
+        return _rounded(u, rows, cols) + _rounded(w, rows, cols) / math.sqrt(float(self.s))
 
 
-def _rounded(coef, rows, cols) -> np.ndarray | None:
+def _rounded(coef, rows, cols) -> np.ndarray:
     """float(c0 + a*ca + b*cb) for rational coefficients over row offsets a
-    and column offsets b, as one division of exact integers, or None past
-    2**53."""
+    and column offsets b, as one correctly rounded division of exact
+    integers: int64 ones while every integer stays within 2**53, where
+    float64 holds them exactly, and Python ones past it."""
     den = math.lcm(*(c.denominator for c in coef))
     k0, ka, kb = (int(c * den) for c in coef)
     amax, bmax = int(rows[-1]), int(cols[-1])  # offsets are sorted
-    if max(den, amax, bmax, abs(k0) + amax * abs(ka) + bmax * abs(kb)) > 2**53:
-        return None
-    a = np.asarray(rows, dtype=np.int64)[:, None]
-    b = np.asarray(cols, dtype=np.int64)[None, :]
-    return (k0 + a * ka + b * kb) / den
+    small = max(den, amax, bmax, abs(k0) + amax * abs(ka) + bmax * abs(kb)) <= 2**53
+    dtype = np.int64 if small else object
+    a = np.asarray(rows, dtype=dtype)[:, None]
+    b = np.asarray(cols, dtype=dtype)[None, :]
+    return np.asarray((k0 + a * ka + b * kb) / den, dtype=float)
 
 
 def _terminal_layer(grid: _Lattice, phi: TerminalFunction | None, m: int,
                     terminal: Callable | None = None) -> np.ndarray:
     """The float payoff of every cell of layer m: ``terminal(u, w)`` of the
-    cell's exact key when given, else phi of its statistic, an indicator-kind
-    phi being decided exactly."""
-    if terminal is None and phi.supports_exact:
+    cell's exact key when given, else phi of its statistic, an indicator
+    being decided exactly."""
+    if terminal is not None:
+        V = np.empty(grid.shape(m))
+        for a, b in np.ndindex(V.shape):
+            V[a, b] = terminal(*grid.state(m, a, b).key())
+        return V
+    if phi.supports_exact:
         return grid.classify(m, phi.sample, phi.evaluate_exact, phi.breakpoints())
-    if terminal is None and phi.kind != "tabulated":  # tabulated phi is off its grid
-        x = grid.statistic(m)
-        if x is not None:
-            return phi.sample(x)
-    if terminal is None:
-        terminal = lambda u, w: phi(float(ExactValue(u, w, grid.s)))  # noqa: E731
-    V = np.empty(grid.shape(m))
-    for a, b in np.ndindex(V.shape):
-        V[a, b] = terminal(*grid.state(m, a, b).key())
-    return V
+    return phi.sample(grid.statistic(m))
 
 
 def _dp_value(
@@ -513,12 +505,8 @@ def band_probability_sup(L: MeasureSet, n: int, m: int, delta, rule: SwitchRule)
         raise ValueError("delta must be positive")
     if math.isinf(rule.center):
         return 0.0
-    model = _prepare(L)
-    _check_rule("tilde", rule, L)
     thr = rule.threshold_exact(m, n)
     band = TerminalFunction.indicator(thr - d, thr + d)
-    if m == 1:
-        return float(band.evaluate_exact(ExactValue.zero(Fraction(n) * model.sigma_sq)))
     return _dp_value(L, band, n, "tilde", rule=rule, steps=m - 1, value_mode="float")
 
 
@@ -672,13 +660,12 @@ class DriftPolicy:
     statistic values and the horizon to law indices; policies must be total.
     """
 
-    kind: str
     fn: Callable[[int, np.ndarray, int], np.ndarray]
     label: str
 
     @classmethod
     def constant(cls, index: int) -> "DriftPolicy":
-        return cls("constant", lambda m, M, n: np.full(M.shape, index, dtype=int),
+        return cls(lambda m, M, n: np.full(M.shape, index, dtype=int),
                    f"constant[{index}]")
 
     @classmethod
@@ -695,11 +682,11 @@ class DriftPolicy:
             return lo_idx + (hi_idx - lo_idx) * rule.upper(M, rule.threshold(m, n))
 
         label = "threshold" if favorable_below else "anti-threshold"
-        return cls("statistic_threshold", fn, label)
+        return cls(fn, label)
 
     @classmethod
     def alternating(cls, n_laws: int) -> "DriftPolicy":
-        return cls("custom", lambda m, M, n: np.full(M.shape, (m - 1) % n_laws, dtype=int),
+        return cls(lambda m, M, n: np.full(M.shape, (m - 1) % n_laws, dtype=int),
                    "alternating")
 
     @classmethod
@@ -708,11 +695,11 @@ class DriftPolicy:
         def fn(m, M, n):
             return np.full(M.shape, table.get(m, default), dtype=int)
 
-        return cls("custom", fn, "table")
+        return cls(fn, "table")
 
     @classmethod
     def from_callable(cls, fn: Callable[[int, np.ndarray, int], np.ndarray], label: str = "custom") -> "DriftPolicy":
-        return cls("custom", fn, label)
+        return cls(fn, label)
 
 
 def builtin_policies(L: MeasureSet, rule: SwitchRule) -> list[DriftPolicy]:
@@ -809,7 +796,7 @@ def simulate_statistic_values(
                 raise ValueError(f"policy {policy.label!r} chose a law index outside "
                                  f"[0, {k}) at step {m}")
             np.copyto(u, uniforms[:, m - 1])
-            # the outcome: searchsorted(cdf, u, side="right") in the chosen law's cdf
+            # the outcome: the count of the chosen law's cdf entries at or below u
             np.less_equal(first[idx], u, out=key)
             for cdf in rest:
                 key += cdf[idx] <= u

@@ -189,6 +189,16 @@ class TestErrorsAndExitCodes:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
 
+    def test_malformed_number_in_measures_file_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "laws.txt"
+        path.write_text("1:0.6 -1:0.3 0:0.1\n1:0.6 -1:abc 0:0.1\n")
+        code = run_cli(["dp", "--theorem", "special", "--measures", str(path),
+                        "--a", "-1", "--b", "1", "--n", "4"])
+        assert code == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "MeasureError",
+                          "message": "line 2: cannot read 'abc' as a number"}
+
     def test_numeric_error_exits_4(self, capsys):
         # dt*kappa exceeds dx: the scheme's step bound rejects the grid
         code = run_cli(["pde", "--kappa", "5", "--a", "-1", "--b", "1",

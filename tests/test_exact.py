@@ -23,6 +23,11 @@ class TestToFraction:
         assert to_fraction(Fraction(7, 3)) == Fraction(7, 3)
         assert to_fraction(5) == Fraction(5)
 
+    @pytest.mark.parametrize("text", ["abc", "", "1/0", "inf"])
+    def test_malformed_strings_raise_value_error(self, text):
+        with pytest.raises(ValueError, match=f"cannot read {text!r} as a number"):
+            to_fraction(text)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             to_fraction(math.inf)

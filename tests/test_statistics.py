@@ -423,3 +423,17 @@ class TestCsv:
         src = tmp_path / "obs.csv"
         src.write_text("x\n1.0\n-1.0\n0.5\n")
         assert read_path_csv(src) == [1.0, -1.0, 0.5]
+
+    def test_read_paths_with_fractions(self, tmp_path):
+        # a first row that reads as a number is an observation, "p/q" included
+        src = tmp_path / "obs.csv"
+        src.write_text("1/3\n1\n-1\n")
+        assert read_path_csv(src) == [1 / 3, 1.0, -1.0]
+        src.write_text("x\n1\n-2/7\n0.5\n")
+        assert read_path_csv(src) == [1.0, -2 / 7, 0.5]
+
+    def test_read_paths_rejects_a_later_unreadable_row(self, tmp_path):
+        src = tmp_path / "obs.csv"
+        src.write_text("x\n1\nabc\n")
+        with pytest.raises(ValueError, match="abc"):
+            read_path_csv(src)

@@ -276,24 +276,23 @@ class TestTerminalLayer:
         return _Lattice(inc, model.values, centers, n, n * model.sigma_sq, n, 10**6, False)
 
     # n = 9 on the coin has the rational root 27/10 (w folds into u); the
-    # 10**-18 unit takes the numerators past 2**53, where no array is formed
-    @pytest.mark.parametrize("L, n, arrays", [
+    # 10**-18 unit takes the numerators past 2**53, into Python ints
+    @pytest.mark.parametrize("L, n, int64", [
         (COIN, 9, True), (COIN, 8, True), (COIN.shifted("1/10"), 7, True),
         (THREE, 6, True), (TestFineLatticeUnit.fine(), 5, True),
         (TestFineLatticeUnit.fine("1/1000000000000000000"), 3, False),
     ])
     @pytest.mark.parametrize("variant", ["clt", "scaled", "deviation", "special", "lln"])
-    def test_statistic_is_the_float_of_each_exact_cell(self, L, n, arrays, variant):
+    def test_statistic_is_the_float_of_each_exact_cell(self, L, n, int64, variant):
         from ambiclt.worst_case import _terminal_layer
 
         grid = self.grid(L, variant, n)
-        assert (grid.statistic(n) is not None) == arrays
+        assert (grid.ux.denominator < 2**53) == int64
         for m in range(n + 1):
             cells = list(np.ndindex(grid.shape(m)))
             x = grid.statistic(m)
-            if x is not None:
-                assert repr([float(x[c]) for c in cells]) == repr(
-                    [float(grid.state(m, *c)) for c in cells])
+            assert repr([float(x[c]) for c in cells]) == repr(
+                [float(grid.state(m, *c)) for c in cells])
         layer = _terminal_layer(grid, self.SMOOTH, n)
         assert repr([float(layer[c]) for c in cells]) == repr(
             [self.SMOOTH(float(grid.state(n, *c))) for c in cells])
@@ -378,6 +377,26 @@ class TestCollapseAndBounds:
         for route in routes:
             with pytest.raises(ValueError, match=message):
                 route()
+
+
+class TestPayoffShapes:
+    def test_one_sided_indicators_have_an_infinite_endpoint(self):
+        for b in (0, "1/3", 0.5, math.inf):
+            assert TerminalFunction.left(b) == TerminalFunction.indicator(-math.inf, b)
+        for a in (0, "1/3", 0.5, -math.inf):
+            assert TerminalFunction.right(a) == TerminalFunction.indicator(a, math.inf)
+
+    def test_empty_one_sided_indicators_are_rejected(self):
+        with pytest.raises(ValueError, match="need a < b"):
+            TerminalFunction.left(-math.inf)
+        with pytest.raises(ValueError, match="need a < b"):
+            TerminalFunction.right(math.inf)
+
+    @pytest.mark.parametrize("L", [COIN, TestFineLatticeUnit.fine("1/1000000000000000000")])
+    def test_tabulated_payoff_is_refused(self, L):
+        tab = TerminalFunction.tabulated([0.0, 1.0, 0.0])
+        with pytest.raises(TypeError, match="off-grid"):
+            sup_dp_clt(L, tab, 3)
 
 
 class TestFrozenMeanSentinels:

@@ -1,17 +1,22 @@
-"""Print SHA-256 digests of the Monte Carlo and PDE outputs, to compare two trees.
+"""Print SHA-256 digests of the DP, Monte Carlo and PDE outputs, to compare two trees.
 
 Usage, with the package of the tree under test on the path:
 
     PYTHONPATH=CHECKOUT/src python3 tools/output_digest.py
 
 Run it once per checkout and compare the printed lines: equal digests mean
-the outputs are equal byte for byte.  It covers
+the outputs are equal byte for byte.  It covers the worst-case dynamic
+program (``_dp_value`` in exact and float mode for every variant, on the
+coin, the shifted coin and a set with the outcome 10**-18, under one-sided,
+two-sided and smoothed indicators), ``product_model_value``,
+``band_probability_sup`` at every m of n = 9,
 ``simulate_statistic_values`` and ``mc_policy_value`` (three measure sets,
 switching centers 0, 0.17 and +/-inf, every variant, ``scaled`` also with
 alpha, beta != 1, every builtin policy, with the default chunk and with a
 chunk of 7 paths), ``size_power_simulation``, ``epsilon_extrapolate`` at
 kappa 0, 0.3 and 0.6, PDE profiles, and the ``ambiclt mc`` and ``ambiclt pde``
-payloads.  It takes about a minute on one core.
+payloads, ``ambiclt dp`` with one or both endpoints included.  It takes
+under a minute on one core.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import contextlib
 import hashlib
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -37,6 +43,28 @@ SETS = (
 )
 CENTERS = (0.0, 0.17, math.inf, -math.inf)
 BOX = TerminalFunction.indicator(-1, 1)
+
+
+def three_point_law(values, mean, variance) -> DiscreteMeasure:
+    """The law on three distinct values with the given mean and variance."""
+    values = [Fraction(v) for v in values]
+    mean, second = Fraction(mean), Fraction(variance) + Fraction(mean) ** 2
+    probs = []
+    for i, xi in enumerate(values):
+        a, b = (x for j, x in enumerate(values) if j != i)
+        probs.append((second - (a + b) * mean + a * b) / ((xi - a) * (xi - b)))
+    return DiscreteMeasure(tuple(values), tuple(probs))
+
+
+# the DP's sets: a unit of 10**-18 takes its numerators past 2**53
+DP_SETS = (COIN, COIN.shifted("1/10"), MeasureSet(tuple(
+    three_point_law((-1, "1/1000000000000000000", 1), mean, "81/100")
+    for mean in ("3/10", "-3/10"))))
+SHARP = (TerminalFunction.left(0), TerminalFunction.right("1/3"),
+         TerminalFunction.left(0.5), BOX, TerminalFunction.indicator("-1/3", "2/5"))
+SMOOTH = (TerminalFunction.smoothed_indicator(-1, 1, 0.05),
+          TerminalFunction.smoothed_indicator(-math.inf, 0.5, 0.1))
+DP_HORIZONS = (1, 5, 9, 12)
 # (chunk, [(n, paths)]): None keeps the default chunk
 CHUNKINGS = ((None, [(1, 5), (9, 23), (20, 8193), (13, 20_000)]),
              (7, [(1, 5), (9, 23), (6, 50)]))
@@ -48,9 +76,50 @@ CLI_RUNS = (
      "--policy", "anti-threshold"],
     ["mc", "--theorem", "tilde", "--p", "0.6", "--q", "0.3", "--a", "-1", "--b", "1",
      "--c", "0.2", "--n", "15", "--paths", "9000", "--policy", "alternating"],
+    ["mc", "--theorem", "special", "--p", "0.6", "--q", "0.3", "--b", "0.5",
+     "--n", "12", "--paths", "5000"],
+    ["mc", "--theorem", "clt", "--p", "0.6", "--q", "0.3", "--a", "-0.5",
+     "--n", "12", "--paths", "5000"],
+    ["dp", "--theorem", "special", "--p", "0.6", "--q", "0.3", "--a", "-1", "--n", "20"],
+    ["dp", "--theorem", "tilde", "--p", "0.6", "--q", "0.3", "--b", "0.5", "--n", "20"],
+    ["dp", "--theorem", "clt", "--p", "0.6", "--q", "0.3", "--a", "-1", "--b", "1",
+     "--n", "20"],
+    ["dp", "--theorem", "special", "--p", "0.6", "--q", "0.3", "--a", "-1", "--b", "1",
+     "--h", "0.1", "--n", "12"],
+    ["dp", "--theorem", "lln", "--p", "0.6", "--q", "0.3", "--a", "0.1", "--h", "0.1",
+     "--n", "12"],
     ["pde", "--kappa", "0", "--a", "-1", "--b", "1", "--nx", "401", "--nt", "400"],
     ["pde", "--kappa", "0.3", "--a", "-1", "--b", "1", "--nx", "401", "--nt", "400"],
 )
+
+
+def dynamic_program(exact, floats, product, band):
+    for L in DP_SETS:
+        iv = validate_measure_set(L)
+        for variant in worst_case.VARIANTS:
+            switching = variant in ("special", "tilde")
+            rules = [SwitchRule(c, iv) for c in CENTERS] if switching else [None]
+            weights = [(1, 1)] + ([("1/2", 2)] if variant == "scaled" else [])
+            for rule in rules:
+                for alpha, beta in weights:
+                    kw = dict(rule=rule, alpha=alpha, beta=beta, minimize=variant == "tilde")
+                    for n in DP_HORIZONS:
+                        for phi in SHARP + SMOOTH:
+                            modes = ["float"] + (["exact"] if phi.supports_exact else [])
+                            for mode in modes:
+                                value = worst_case._dp_value(L, phi, n, variant,
+                                                             value_mode=mode, **kw)
+                                (exact if mode == "exact" else floats).update(
+                                    repr(value).encode())
+                            if not switching and n < 12:
+                                product.update(repr(worst_case.product_model_value(
+                                    L, phi, n, variant, alpha=alpha, beta=beta)).encode())
+        for center in (0.0, 0.17):
+            rule = SwitchRule(center, iv)
+            for delta in (Fraction(1, 10), Fraction(10, 27), Fraction(1, 10**30)):
+                for m in range(1, 10):
+                    band.update(repr(worst_case.band_probability_sup(
+                        L, 9, m, delta, rule)).encode())
 
 
 def monte_carlo(simulate, estimate):
@@ -81,8 +150,11 @@ def monte_carlo(simulate, estimate):
 
 def main() -> int:
     digests = {name: hashlib.sha256() for name in (
+        "dp_exact", "dp_float", "product_model_value", "band_probability_sup",
         "simulate_statistic_values", "mc_policy_value", "size_power_simulation",
         "epsilon_extrapolate", "pde_profiles", "cli_payloads")}
+    dynamic_program(digests["dp_exact"], digests["dp_float"],
+                    digests["product_model_value"], digests["band_probability_sup"])
     monte_carlo(digests["simulate_statistic_values"], digests["mc_policy_value"])
 
     spec = hyptest.TestSpec(0.3, 1.0, 0.05)
