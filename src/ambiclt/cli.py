@@ -164,8 +164,10 @@ def _terminal(args) -> TerminalFunction:
     h = getattr(args, "h", None)
     if h and a is not None and b is not None:
         return TerminalFunction.smoothed_indicator(a, b, h)
-    return TerminalFunction.indicator(-math.inf if a is None else repr(a),
-                                      math.inf if b is None else repr(b))
+    # a finite endpoint goes in as its shortest decimal, read exactly
+    a, b = (x if math.isinf(x) else repr(x)
+            for x in (-math.inf if a is None else a, math.inf if b is None else b))
+    return TerminalFunction.indicator(a, b)
 
 
 # ---------------------------------------------------------------------------

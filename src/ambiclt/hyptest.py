@@ -240,20 +240,21 @@ def size_power_simulation(
     """Monte Carlo acceptance rate of the point-null test at theta0 when data
     are theta_true plus errors drawn under a drift policy.
 
-    The statistic for x_i = theta + y_i equals theta plus the error-process
-    statistic with the switching center translated by -theta, so paths are
+    The test decides on the statistic of the residuals x_i - theta0 = d + y_i,
+    d = theta_true - theta0, under the rule centered at (a + b)/2 (see
+    :func:`residual_statistic`).  That equals d plus the error-process
+    statistic with the switching center translated by -d, so paths are
     simulated directly on the error process.  Returns (accept_rate, stderr).
     """
     iv = validate_measure_set(L_error)
-    c_hat = 0.5 * (a + b) - theta_true
-    rule = SwitchRule(c_hat, iv)
+    d = theta_true - spec.theta0
+    rule = SwitchRule(0.5 * (a + b) - d, iv)
     if policy is None:
         policy = DriftPolicy.threshold(L_error, rule)
     M_err = simulate_statistic_values(
         L_error, policy, "special", n, paths, seed, rule=rule
     )
-    M = theta_true + M_err
-    shifted = M - spec.theta0
+    shifted = d + M_err
     accepted = (shifted >= a) & (shifted <= b)
     rate = float(np.mean(accepted))
     stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / paths)

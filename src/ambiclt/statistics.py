@@ -177,12 +177,17 @@ class Increment(NamedTuple):
         """The step as exact coefficients (du, dw) of u + w/sqrt(n*sigma^2)."""
         return self.drift * x / n, self.noise * (x - center)
 
+    def terms(self, x, center, n: int, sigma: float):
+        """The step's drift term and noise term in float arithmetic; x and
+        center may be arrays."""
+        return (float(self.drift) * x / n,
+                float(self.noise) * (x - center) / (sigma * math.sqrt(n)))
+
     def advance(self, M, x, center, n: int, sigma: float):
-        """M plus the step in float arithmetic; M, x and center may be arrays."""
-        M = M + float(self.drift) * x / n
-        if self.centering is None:
-            return M
-        return M + float(self.noise) * (x - center) / (sigma * math.sqrt(n))
+        """M plus the step in float arithmetic, the drift term added first;
+        M, x and center may be arrays."""
+        drift, noise = self.terms(x, center, n, sigma)
+        return M + drift if self.centering is None else M + drift + noise
 
 
 # The statistic of each worst-case variant, defined once for every route.
@@ -379,18 +384,23 @@ def statistic_trace(
 
 def read_path_csv(path) -> list[float]:
     """Read one observation per row, as the float fold reads it ("p/q"
-    included); a first row that cannot be read is a header and is skipped."""
+    included); a first row that cannot be read is a header and is skipped.
+    A row that reads as infinite or nan raises ValueError naming its line."""
     out: list[float] = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        for row in csv.reader(handle):
+        reader = csv.reader(handle)
+        for row in reader:
             if not row:
                 continue
             try:
-                out.append(_as_float(row[0]))
+                x = _as_float(row[0])
             except ValueError:
                 if out:
                     raise
-                # header row
+                continue  # header row
+            if not math.isfinite(x):
+                raise ValueError(f"line {reader.line_num}: {row[0]!r} is not a finite number")
+            out.append(x)
     return out
 
 

@@ -11,7 +11,10 @@ max by min.)  The statistic variants differ only in the increment, which
 :data:`ambiclt.statistics.INCREMENTS` defines once for every route here: a
 weight on x/n, a weight on (x - center)/(sigma*sqrt(n)), and the center --
 the chosen law's mean (clt, scaled, deviation), the M-rule or M-tilde-rule
-mean of :class:`SwitchRule` (special, tilde), or none (lln).
+mean of :class:`SwitchRule` (special, tilde), or none (lln).  The dynamic
+program, the oracle, the product model and Monte Carlo all check their input
+and take the step, the scale n*sigma^2, the centers a step may use and the
+laws' integer weights from one ``_route``.
 
 A state after m steps is a cell (a, b) of an integer lattice: the sum of
 the outcomes is m*x_min + a*unit_x and the sum of the centers m*c_min +
@@ -52,7 +55,7 @@ import numpy as np
 
 from ._exact import FILTER_MARGIN, ExactValue, sqrt_exact, to_fraction
 from .measures import MeasureSet, validate_measure_set
-from .statistics import INCREMENTS, SwitchRule, increment
+from .statistics import INCREMENTS, Increment, SwitchRule, increment
 from .terminal import TerminalFunction
 
 VARIANTS = tuple(INCREMENTS)
@@ -89,41 +92,42 @@ class DpLattice:
 
 
 # ---------------------------------------------------------------------------
-# model preparation
+# the route of one statistic
 
 
 @dataclass(frozen=True)
-class _Model:
-    values: tuple[Fraction, ...]
-    probs: tuple[tuple[Fraction, ...], ...]  # per law
-    means: tuple[Fraction, ...]  # per law
-    mu_lo: Fraction
-    mu_hi: Fraction
-    sigma_sq: Fraction
+class _Route:
+    """One statistic on one measure set over horizon n, checked once for
+    every route that evaluates it.
+
+    ``switching`` is true when a finite switching rule picks each step's
+    center; ``centers`` are then [mu_lo, mu_hi], and otherwise one per law:
+    the law's mean, 0, or the mean an infinite center freezes the rule on.
+    ``weights`` are each law's probabilities as integers over ``D``, their
+    common denominator.
+    """
+
+    inc: Increment
+    n: int
+    s: Fraction  # the scale n*sigma^2
+    sigma: float
+    switching: bool
+    centers: list
+    values: tuple
+    weights: list
+    D: int
 
 
-def _prepare(L: MeasureSet) -> _Model:
+def _route(L: MeasureSet, variant: str, n: int, rule: SwitchRule | None,
+           alpha, beta) -> _Route:
+    inc = increment(variant, alpha, beta)
+    if n < 1:
+        raise ValueError("n must be at least 1")
     iv = validate_measure_set(L)
-    return _Model(
-        values=L.values,
-        probs=tuple(law.probs for law in L.laws),
-        means=tuple(law.mean() for law in L.laws),
-        mu_lo=to_fraction(iv.mu_lower),
-        mu_hi=to_fraction(iv.mu_upper),
-        sigma_sq=iv.variance_exact(),
-    )
-
-
-def _canonical(u: Fraction, w: Fraction, root: Fraction | None):
-    if root is not None and w != 0:
-        return (u + w / root, Fraction(0))
-    return (u, w)
-
-
-def _check_rule(variant: str, rule: SwitchRule | None, L: MeasureSet) -> None:
-    """A switching variant centers on its rule's means, so the rule must span
-    the measure set's own mean interval."""
-    if INCREMENTS[variant].switching:
+    s = Fraction(n) * iv.variance_exact()
+    switching = False
+    if inc.switching:
+        # the rule's means center the steps, so they must be the set's own
         if rule is None:
             raise ValueError(f"variant {variant!r} needs a switch rule")
         if rule.exact_mean_pair() != L.mean_bounds():
@@ -131,6 +135,16 @@ def _check_rule(variant: str, rule: SwitchRule | None, L: MeasureSet) -> None:
                 f"switch rule means {rule.mean_pair()} differ from the measure "
                 f"set's mean bounds {tuple(map(float, L.mean_bounds()))}"
             )
+        switching = not math.isinf(rule.center)  # else the rule is frozen
+        if switching:
+            centers = list(rule.exact_mean_pair())
+        else:
+            centers = [rule.mean(ExactValue.zero(s), rule.center, inc.tilde)] * len(L.laws)
+    else:
+        centers = inc.law_centers(L.means())
+    D = math.lcm(*(p.denominator for law in L.laws for p in law.probs))
+    weights = [[int(p * D) for p in law.probs] for law in L.laws]
+    return _Route(inc, n, s, float(iv.sigma), switching, centers, L.values, weights, D)
 
 
 def _resolve_value_mode(value_mode: str, phi: TerminalFunction, n: int) -> bool:
@@ -192,12 +206,11 @@ class _Lattice:
     follows the number of distinct sums, however fine the lattice units are.
     """
 
-    def __init__(self, inc, values, centers, n: int, s: Fraction,
-                 steps: int, max_states: int, keep_layers: bool):
-        self.inc, self.n, self.s = inc, n, s
-        self.x0, self.ux, self.dx = _lattice_axis(values)
-        self.c0, self.uc, dc = _lattice_axis(centers)
-        self.dc = dict(zip(centers, dc))
+    def __init__(self, route: _Route, steps: int, max_states: int, keep_layers: bool):
+        self.inc, self.n, self.s = route.inc, route.n, route.s
+        self.x0, self.ux, self.dx = _lattice_axis(route.values)
+        self.c0, self.uc, dc = _lattice_axis(route.centers)
+        self.dc = dict(zip(route.centers, dc))
         self.exact_tests = 0
         # int64 offsets unless a fine unit could overflow them
         dtype = object if max(self.dx + dc) * steps >= 2**62 else np.int64
@@ -225,8 +238,8 @@ class _Lattice:
                 )
         # float form of the statistic, m*k0 + a*ka + b*kb for offsets (a, b),
         # and a bound on the magnitude of the terms it sums
-        d = float(inc.drift) / n
-        e = float(inc.noise) / math.sqrt(float(s))
+        d = float(self.inc.drift) / self.n
+        e = float(self.inc.noise) / math.sqrt(float(self.s))
         x0f, c0f, uxf, ucf = map(float, (self.x0, self.c0, self.ux, self.uc))
         self._coef = (d * x0f + e * (x0f - c0f), (d + e) * uxf, -e * ucf)
         self._mag = ((abs(d) + abs(e)) * (abs(x0f) + abs(c0f)),
@@ -248,7 +261,7 @@ class _Lattice:
         """The exact, canonical statistic value of cell (i, j) of layer m."""
         sx = m * self.x0 + int(self.rows[m][i]) * self.ux
         sc = m * self.c0 + int(self.cols[m][j]) * self.uc
-        return ExactValue.create(self.inc.drift * sx / self.n, self.inc.noise * (sx - sc), self.s)
+        return ExactValue.create(*self.inc.exact(sx, sc, self.n), self.s)
 
     def classify(self, m: int, float_test, exact_test, points):
         """``float_test`` of every cell's float value, except that cells near
@@ -329,39 +342,22 @@ def _dp_value(
     n_cap: int | None = None,
     keep_layers: bool = False,
 ):
-    inc = increment(variant, alpha, beta)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    route = _route(L, variant, n, rule, alpha, beta)
     cap = DEFAULT_N_CAP if n_cap is None else n_cap
     if n > cap:
         raise StateExplosion(
             f"n={n} exceeds the {variant} cap of {cap}; pass n_cap to raise it"
         )
     steps = n if steps is None else steps
-    model = _prepare(L)
-    _check_rule(variant, rule, L)
-    s = Fraction(n) * model.sigma_sq
     exact_values = _resolve_value_mode(value_mode, phi, n) if terminal is None else False
-    # an infinite center freezes the switching rule on one mean
-    switching = inc.switching and not math.isinf(rule.center)
-    if switching:
-        centers = [model.mu_lo, model.mu_hi]
-    elif inc.switching:
-        frozen = rule.mean(ExactValue.zero(s), rule.threshold_exact(1, n), inc.tilde)
-        centers = [frozen] * len(model.probs)
-    else:
-        centers = inc.law_centers(model.means)
-    grid = _Lattice(inc, model.values, centers, n, s, steps, max_states, keep_layers)
+    grid = _Lattice(route, steps, max_states, keep_layers)
+    inc, switching, centers, D = route.inc, route.switching, route.centers, route.D
 
-    # Exact values are integer numerators: layer m over D**(steps - m), D the
-    # common denominator of the probabilities.
+    # Exact values are integer numerators: layer m over D**(steps - m).
     if exact_values:
-        D = math.lcm(*(p.denominator for law in model.probs for p in law))
-        weights = [[int(p * D) for p in law] for law in model.probs]
-        dtype = object
+        weights, dtype = route.weights, object
     else:
-        weights = [[float(p) for p in law] for law in model.probs]
-        dtype = float
+        weights, dtype = [[p / D for p in law] for law in route.weights], float
 
     # The laws grouped by center, so that laws sharing a center share their
     # children: [(b-offset of the center, weights of the laws taking it)].
@@ -443,7 +439,7 @@ def _dp_value(
     for m, (V, R) in enumerate(zip(reversed(kept), reach)):
         layers.append({grid.state(m, a, b).key(): value(V, m, a, b)
                        for a, b in zip(*np.nonzero(R))})
-    return DpLattice(variant, steps, s, tuple(layers), grid.exact_tests)
+    return DpLattice(variant, steps, route.s, tuple(layers), grid.exact_tests)
 
 
 # ---------------------------------------------------------------------------
@@ -528,46 +524,33 @@ def enumerate_worst_case(
     """Brute-force worst case by walking the full (law, outcome) decision
     tree with no state merging; exponential, for cross-checking at small n.
     Laws that share a center share the children of a node."""
-    inc = increment(variant, alpha, beta)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    route = _route(L, variant, n, rule, alpha, beta)
     if n > 10:
         raise ValueError("enumeration is exponential; use n <= 10")
     if not phi.supports_exact:
         raise ValueError("enumeration oracle needs an indicator-kind terminal")
-    model = _prepare(L)
-    _check_rule(variant, rule, L)
-    s = Fraction(n) * model.sigma_sq
-    root = sqrt_exact(s)
-    law_centers = inc.law_centers(model.means)
+    inc, D = route.inc, route.D
     better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
 
-    def rec(m: int, u: Fraction, w: Fraction) -> Fraction:
+    def rec(m: int, M: ExactValue) -> Fraction:
         if m == n:
-            return phi.evaluate_exact(ExactValue(u, w, s))
+            return phi.evaluate_exact(M)
         step = m + 1
-        centers = law_centers
+        centers = route.centers
         if inc.switching:
-            mu = rule.mean(ExactValue(u, w, s), rule.threshold_exact(step, n), inc.tilde)
-            centers = [mu] * len(model.probs)
+            mu = rule.mean(M, rule.threshold_exact(step, n), inc.tilde)
+            centers = [mu] * len(route.weights)
         children: dict = {}  # center -> child values by outcome
         best = None
-        for c, pj in zip(centers, model.probs):
+        for c, pj in zip(centers, route.weights):
             if c not in children:
-                children[c] = [
-                    rec(step, *_canonical(u + du, w + dw, root))
-                    for du, dw in (inc.exact(x, c, n) for x in model.values)
-                ]
-            total = Fraction(0)
-            for child, p in zip(children[c], pj):
-                if p:
-                    total += p * child
+                children[c] = [rec(step, M.shift(*inc.exact(x, c, n))) for x in route.values]
+            total = Fraction(sum(p * child for child, p in zip(children[c], pj)), D)
             if best is None or better(total, best):
                 best = total
         return best
 
-    zero = _canonical(Fraction(0), Fraction(0), root)
-    return rec(0, zero[0], zero[1])
+    return rec(0, ExactValue.zero(route.s))
 
 
 # ---------------------------------------------------------------------------
@@ -593,21 +576,14 @@ def product_model_value(
     law 0 first, then law 1, and so on; compositions that begin with the
     same law choices share the distribution of that prefix.
     """
-    inc = increment(variant, alpha, beta)
-    if inc.switching:
+    if increment(variant).switching:
         raise ValueError("product model applies to the non-switching variants")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    model = _prepare(L)
+    route = _route(L, variant, n, None, alpha, beta)
     k = len(L.laws)
     n_multisets = math.comb(n + k - 1, k - 1)
     if n_multisets * n > 200_000:
         raise ValueError("too many law multisets; reduce n or the law count")
-    centers = inc.law_centers(model.means)
-    grid = _Lattice(inc, model.values, centers, n, Fraction(n) * model.sigma_sq, n,
-                    DEFAULT_MAX_STATES, keep_layers=False)
-    D = math.lcm(*(p.denominator for law in model.probs for p in law))
-    weights = [[int(p * D) for p in law] for law in model.probs]
+    grid = _Lattice(route, n, DEFAULT_MAX_STATES, keep_layers=False)
     payoff = np.frompyfunc(Fraction, 1, 1)(_terminal_layer(grid, phi, n))
     columns = dict(zip((int(b) for b in grid.cols[n]), payoff.T))
 
@@ -617,10 +593,10 @@ def product_model_value(
         m, col, P = dist
         row_lands = grid._lands[m + 1][0]
         nxt = np.zeros(len(grid.rows[m + 1]), dtype=object)
-        for da, p in zip(grid.dx, weights[j]):
+        for da, p in zip(grid.dx, route.weights[j]):
             if p:  # a move lands distinct rows on distinct rows
                 nxt[row_lands[da]] += p * P
-        return m + 1, col + grid.dc[centers[j]], nxt
+        return m + 1, col + grid.dc[route.centers[j]], nxt
 
     def expectation(dist):
         _, col, P = dist
@@ -628,7 +604,7 @@ def product_model_value(
 
     start = (0, 0, np.ones(1, dtype=object))
     best = max(_composition_values(start, 0, n, k, step, expectation))
-    return float(Fraction(best, D ** n))
+    return float(Fraction(best, route.D ** n))
 
 
 # at module level: a nested recursive generator would hold its closure, and
@@ -749,34 +725,27 @@ def simulate_statistic_values(
 
     A step of :meth:`Increment.advance` adds a drift term that depends on
     the outcome only, then a noise term that depends on the outcome and the
-    center: the rule's lower or upper mean for the switching variants, the
-    chosen law's center otherwise.  Both terms are tabulated once per call
-    with the operations ``advance`` performs, so a step adds two table
-    entries to M in ``advance``'s order and the values are the ones
-    ``advance`` gives, bit for bit.
+    center: the rule's lower or upper mean while a finite switching rule
+    picks it, the chosen law's center otherwise.  :meth:`Increment.terms`
+    tabulates both once per call, so a step adds two table entries to M in
+    ``advance``'s order and the values are the ones ``advance`` gives, bit
+    for bit.
     """
-    inc = increment(variant, alpha, beta)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    route = _route(L, variant, n, rule, alpha, beta)
     if paths < 1:
         raise ValueError("paths must be at least 1")
-    _check_rule(variant, rule, L)
-    iv = validate_measure_set(L)
-    sigma = float(iv.sigma)
     k = len(L.laws)
-    values = np.array([float(v) for v in L.values])
-    if inc.switching:  # center j: the lower (0) or the upper (1) mean
-        centers = np.array(rule.mean_pair())
-    else:  # center j: law j's
-        centers = np.array([float(c) for c in inc.law_centers(L.means())])
+    # center j: the lower (0) or the upper (1) mean when switching, else law j's
+    centers = np.array([float(c) for c in route.centers])
     width = len(centers)
-    step_x = float(inc.drift) * values / n
+    values = np.array([float(v) for v in route.values])[:, None]
     # row-major by outcome: the entry of (outcome, center j) is outcome*width + j
     # (lln has no noise term: its entries are zeros, and adding a zero leaves
     # M as it is, M starting at +0.0 and so never being -0.0)
-    step_c = (float(inc.noise) * (values[:, None] - centers) / (sigma * math.sqrt(n))).ravel()
+    step_x, step_c = (a.ravel() for a in route.inc.terms(values, centers, n, route.sigma))
     # column c: every law's CDF at outcome c; the last column (1) is never needed
-    first, *rest = np.array([np.cumsum([float(p) for p in law.probs]) for law in L.laws]).T[:-1]
+    first, *rest = np.array([np.cumsum([p / route.D for p in law])
+                             for law in route.weights]).T[:-1]
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     chunk = min(_CHUNK_PATHS, paths)
@@ -800,7 +769,7 @@ def simulate_statistic_values(
             np.less_equal(first[idx], u, out=key)
             for cdf in rest:
                 key += cdf[idx] <= u
-            j = rule.upper(M, rule.threshold(m, n), inc.tilde) if inc.switching else idx
+            j = rule.upper(M, rule.threshold(m, n), route.inc.tilde) if route.switching else idx
             M += step_x[key]
             key *= width
             key += j

@@ -116,6 +116,18 @@ class TestDpCommand:
         assert header == "theorem,n,value,reference,gap"
         assert row.startswith("deviation,3,") and row.endswith(",,")
 
+    @pytest.mark.parametrize("given, omitted", [
+        (["--a", "-1", "--b", "inf"], ["--a", "-1"]),
+        (["--a=-inf", "--b", "0.5"], ["--b", "0.5"]),
+    ], ids=["b", "a"])
+    def test_infinite_endpoint_is_the_omitted_one(self, capsys, given, omitted):
+        values = []
+        for ends in (given, omitted):
+            assert run_cli(["dp", "--theorem", "special", "--p", "0.6", "--q", "0.3",
+                            *ends, "--n", "4"]) == 0
+            values.append(json.loads(capsys.readouterr().out)["value"])
+        assert values[0] == values[1]
+
     def test_measure_file_input(self, tmp_path):
         mfile = tmp_path / "laws.txt"
         mfile.write_text("1:0.6 -1:0.3 0:0.1\n1:0.3 -1:0.6 0:0.1\n")
@@ -181,6 +193,14 @@ class TestErrorsAndExitCodes:
         assert code == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
+
+    def test_non_finite_data_row_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("x\n1\nnan\n-1\n")
+        code = run_cli(["hyptest", "--kappa", "0.3", "--alpha", "0.05", "--data", str(path)])
+        assert code == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "ValueError", "message": "line 3: 'nan' is not a finite number"}
 
     def test_missing_measures_file_exits_2(self, tmp_path, capsys):
         code = run_cli(["dp", "--theorem", "special", "--measures", str(tmp_path / "missing.txt"),

@@ -236,6 +236,15 @@ class TestSimulation:
         rate, _ = size_power_simulation(self.ERRORS, SPEC0, a, b, 10.0, 400, 1000, seed=7)
         assert rate == 0.0
 
+    def test_null_acceptance_does_not_depend_on_theta0(self):
+        # under the null the residuals are the errors whatever theta0 is
+        spec = HypSpec(kappa=0.3, sigma=0.9, alpha=0.05)
+        a, b = calibrate_interval(spec)
+        L = coin_example("3/5", "3/10")
+        rates = [size_power_simulation(L, HypSpec(0.3, 0.9, 0.05, theta0=t), a, b, t,
+                                       200, 4000, seed=5)[0] for t in (0.0, 1.0, 3.0)]
+        assert max(rates) - min(rates) <= 1 / 4000
+
     def test_policy_sweep_below_the_limit(self):
         spec = HypSpec(kappa=0.3, sigma=0.9, alpha=0.05)
         a, b = calibrate_interval(spec)

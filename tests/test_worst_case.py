@@ -267,13 +267,10 @@ class TestTerminalLayer:
 
     @staticmethod
     def grid(L, variant, n):
-        from ambiclt.worst_case import _Lattice, _prepare
+        from ambiclt.worst_case import _Lattice, _route
 
-        model = _prepare(L)
-        inc = increment(variant, "1/2", 2) if variant == "scaled" else increment(variant)
-        centers = ([model.mu_lo, model.mu_hi] if inc.switching
-                   else inc.law_centers(model.means))
-        return _Lattice(inc, model.values, centers, n, n * model.sigma_sq, n, 10**6, False)
+        rule = SwitchRule(0.0, validate_measure_set(L))
+        return _Lattice(_route(L, variant, n, rule, "1/2", 2), n, 10**6, False)
 
     # n = 9 on the coin has the rational root 27/10 (w folds into u); the
     # 10**-18 unit takes the numerators past 2**53, into Python ints
@@ -298,22 +295,44 @@ class TestTerminalLayer:
             [self.SMOOTH(float(grid.state(n, *c))) for c in cells])
 
 
-class TestRuleMustMatchTheSet:
-    # a rule built on another measure set's mean interval
-    OTHER = SwitchRule(0.0, validate_measure_set(THREE))
+def run_route(route, variant="clt", n=3, rule=None, paths=10):
+    """Call one of the four routes on the coin with the box payoff."""
+    if route == "dp":
+        return worst_case._dp_value(COIN, BOX, n, variant, rule=rule)
+    if route == "oracle":
+        return enumerate_worst_case(COIN, BOX, n, variant, rule=rule)
+    if route == "product":
+        return product_model_value(COIN, BOX, n, variant)
+    return simulate_statistic_values(COIN, DriftPolicy.constant(0), variant, n, paths, 1,
+                                     rule=rule)
 
-    def test_dp_rejects_it(self):
-        with pytest.raises(ValueError, match="mean bounds"):
-            sup_dp_special(COIN, BOX, 3, self.OTHER)
 
-    def test_oracle_rejects_it(self):
-        with pytest.raises(ValueError, match="mean bounds"):
-            enumerate_worst_case(COIN, BOX, 3, "tilde", rule=self.OTHER, minimize=True)
+ROUTES = ("dp", "oracle", "product", "mc")
+RULED_ROUTES = ("dp", "oracle", "mc")
+# a rule built on another measure set's mean interval
+OTHER_RULE = SwitchRule(0.0, validate_measure_set(THREE))
+# (case, the routes it applies to, arguments, the ValueError's message)
+BAD_INPUTS = [
+    ("unknown-variant", ROUTES, {"variant": "bogus"}, "unknown variant 'bogus'"),
+    ("zero-horizon", ROUTES, {"n": 0}, "n must be at least 1"),
+    ("no-rule", RULED_ROUTES, {"variant": "special"}, "variant 'special' needs a switch rule"),
+    ("mismatched-rule", RULED_ROUTES, {"variant": "tilde", "rule": OTHER_RULE},
+     "switch rule means (-0.2, 0.4) differ from the measure set's mean bounds (-0.3, 0.3)"),
+    ("zero-paths", ("mc",), {"paths": 0}, "paths must be at least 1"),
+    ("switching-variant", ("product",), {"variant": "special"},
+     "product model applies to the non-switching variants"),
+]
 
-    def test_monte_carlo_rejects_it(self):
-        with pytest.raises(ValueError, match="mean bounds"):
-            simulate_statistic_values(COIN, DriftPolicy.constant(0), "special", 3, 10,
-                                      seed=1, rule=self.OTHER)
+
+class TestBadInputs:
+    @pytest.mark.parametrize("route, kw, message", [
+        pytest.param(route, kw, message, id=f"{route}-{case}")
+        for case, routes, kw, message in BAD_INPUTS for route in routes
+    ])
+    def test_each_route_raises_the_same_error(self, route, kw, message):
+        with pytest.raises(ValueError) as info:
+            run_route(route, **kw)
+        assert (info.type, str(info.value)) == (ValueError, message)
 
 
 class TestCollapseAndBounds:
@@ -679,27 +698,30 @@ def dict_product_model_value(L, phi, n, variant="clt", *, alpha=1, beta=1, exact
     from ambiclt._exact import sqrt_exact
 
     inc = increment(variant, alpha, beta)
-    model = worst_case._prepare(L)
-    s = Fraction(n) * model.sigma_sq
+    s = Fraction(n) * validate_measure_set(L).variance_exact()
     root = sqrt_exact(s)
     k = len(L.laws)
-    _canonical = worst_case._canonical
     num = Fraction if exact else float
 
-    law_steps = [
-        [inc.exact(x, c, n) for x in model.values] for c in inc.law_centers(model.means)
-    ]
-    fl_probs = [tuple(num(p) for p in law) for law in model.probs]
+    def canonical(u, w):
+        """The (u, w) key of u + w/sqrt(s), w folded into u when sqrt(s) is
+        rational, as ExactValue.create keys it."""
+        if root is not None and w != 0:
+            return (u + w / root, Fraction(0))
+        return (u, w)
+
+    law_steps = [[inc.exact(x, c, n) for x in L.values] for c in inc.law_centers(L.means())]
+    fl_probs = [tuple(num(p) for p in law.probs) for law in L.laws]
 
     def evaluate(counts: tuple[int, ...]):
-        dist = {_canonical(Fraction(0), Fraction(0), root): num(1)}
+        dist = {canonical(Fraction(0), Fraction(0)): num(1)}
         for j, cnt in enumerate(counts):
             for _ in range(cnt):
                 nxt: dict = {}
                 for (u, w), p0 in dist.items():
                     for (du, dw), p in zip(law_steps[j], fl_probs[j]):
                         if p:
-                            key = _canonical(u + du, w + dw, root)
+                            key = canonical(u + du, w + dw)
                             nxt[key] = nxt.get(key, num(0)) + p0 * p
                 dist = nxt
         total = num(0)

@@ -13,10 +13,13 @@ two-sided and smoothed indicators), ``product_model_value``,
 ``simulate_statistic_values`` and ``mc_policy_value`` (three measure sets,
 switching centers 0, 0.17 and +/-inf, every variant, ``scaled`` also with
 alpha, beta != 1, every builtin policy, with the default chunk and with a
-chunk of 7 paths), ``size_power_simulation``, ``epsilon_extrapolate`` at
+chunk of 7 paths), the statistics fold (``path_statistic`` exact and float,
+``statistic_trace`` and ``residual_statistic`` on seeded paths),
+``enumerate_worst_case`` for every variant at n <= 6 with switching centers
+0, 0.17 and +/-inf, ``size_power_simulation``, ``epsilon_extrapolate`` at
 kappa 0, 0.3 and 0.6, PDE profiles, and the ``ambiclt mc`` and ``ambiclt pde``
 payloads, ``ambiclt dp`` with one or both endpoints included.  It takes
-under a minute on one core.
+about a minute on one core.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ import numpy as np
 
 from ambiclt import cli, hyptest, pde, worst_case
 from ambiclt.measures import DiscreteMeasure, MeasureSet, coin_example, validate_measure_set
-from ambiclt.statistics import SwitchRule
+from ambiclt.statistics import (VARIANT_M, VARIANT_TILDE, SwitchRule, path_statistic,
+                                statistic_trace)
 from ambiclt.terminal import TerminalFunction
 
 COIN = coin_example("3/5", "3/10")
@@ -148,14 +152,61 @@ def monte_carlo(simulate, estimate):
         worst_case._CHUNK_PATHS = default
 
 
+def fold(digest):
+    rng = np.random.default_rng(5)
+    for L in SETS:
+        iv = validate_measure_set(L)
+        for center in CENTERS:
+            rule = SwitchRule(center, iv)
+            for n in (1, 5, 9, 40, 200):
+                for _ in range(3):
+                    xs = [L.values[i] for i in rng.integers(len(L.values), size=n)]
+                    for variant in (VARIANT_M, VARIANT_TILDE):
+                        exact = path_statistic(xs, n, rule, variant, exact=True)
+                        digest.update(repr((exact.key(), exact.s)).encode())
+                        digest.update(repr(path_statistic(xs, n, rule, variant)).encode())
+                        digest.update(repr(statistic_trace(xs, n, rule, variant)).encode())
+    for theta0 in (0.0, 1.0, -0.3):
+        for a, b in ((-1.0, 1.0), (-0.5, 1.5)):
+            spec = hyptest.TestSpec(0.3, 0.9, 0.05, theta0=theta0)
+            for n in (1, 7, 30):
+                xs = list(theta0 + rng.normal(0.0, 0.9, n))
+                digest.update(repr(hyptest.residual_statistic(xs, spec, a, b)).encode())
+
+
+def oracle(digest):
+    """Every sharp payoff at n <= 4, the box at n = 5 and, on the coin, n = 6;
+    where each node has one center, every sharp payoff at n <= 6 in both
+    senses."""
+    for L in DP_SETS:
+        iv = validate_measure_set(L)
+        for variant in worst_case.VARIANTS:
+            switching = variant in ("special", "tilde")
+            rules = [SwitchRule(c, iv) for c in CENTERS] if switching else [None]
+            weights = [(1, 1)] + ([("1/2", 2)] if variant == "scaled" else [])
+            cheap = switching or variant == "lln"
+            runs = [(n, phi) for n in range(1, 7 if cheap else 5) for phi in SHARP]
+            if not cheap:
+                runs += [(5, BOX)] + ([(6, BOX)] if L is COIN else [])
+            for rule in rules:
+                for alpha, beta in weights:
+                    for minimize in (False, True) if cheap else (False,):
+                        for n, phi in runs:
+                            digest.update(repr(worst_case.enumerate_worst_case(
+                                L, phi, n, variant, rule=rule, alpha=alpha, beta=beta,
+                                minimize=minimize)).encode())
+
+
 def main() -> int:
     digests = {name: hashlib.sha256() for name in (
         "dp_exact", "dp_float", "product_model_value", "band_probability_sup",
         "simulate_statistic_values", "mc_policy_value", "size_power_simulation",
-        "epsilon_extrapolate", "pde_profiles", "cli_payloads")}
+        "epsilon_extrapolate", "pde_profiles", "cli_payloads", "fold", "oracle")}
     dynamic_program(digests["dp_exact"], digests["dp_float"],
                     digests["product_model_value"], digests["band_probability_sup"])
     monte_carlo(digests["simulate_statistic_values"], digests["mc_policy_value"])
+    fold(digests["fold"])
+    oracle(digests["oracle"])
 
     spec = hyptest.TestSpec(0.3, 1.0, 0.05)
     for theta in (0.0, 0.1):
