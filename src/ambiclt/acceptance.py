@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
+import scipy
 
 from . import closed_form as cf
 from . import hyptest, pde, worst_case
@@ -108,14 +108,14 @@ def _c04_density_consistency():
         a = float(rng.uniform(-3.0, 1.0))
         b = float(a + rng.uniform(0.1, 3.0))
         c = -(a + b) / 2.0
-        lo_mass, _ = quad(lambda z: cf.reflected_density(c, kappa, 1.0, z), -30.0, 0.0,
+        lo_mass, _ = scipy.integrate.quad(lambda z: cf.reflected_density(c, kappa, 1.0, z), -30.0, 0.0,
                           limit=200, epsabs=1e-10)
-        hi_mass, _ = quad(lambda z: cf.reflected_density(c, kappa, 1.0, z), 0.0, 30.0,
+        hi_mass, _ = scipy.integrate.quad(lambda z: cf.reflected_density(c, kappa, 1.0, z), 0.0, 30.0,
                           limit=200, epsabs=1e-10)
         worst_mass = max(worst_mass, abs(lo_mass + hi_mass - 1.0))
         half = (b - a) / 2.0
         pts = [0.0] if -half < 0.0 < half else None
-        inside, _ = quad(lambda z: cf.reflected_density(c, kappa, 1.0, z), -half, half,
+        inside, _ = scipy.integrate.quad(lambda z: cf.reflected_density(c, kappa, 1.0, z), -half, half,
                          points=pts, limit=200, epsabs=1e-11)
         want = cf.upper_indicator_limit(interval(-kappa, kappa), a, b)
         worst_match = max(worst_match, abs(inside - want))
@@ -195,7 +195,7 @@ def _c08_clt_convergence_trend():
 def _c09_normal_limit():
     L = _coin()
     phi = TerminalFunction.smoothed_indicator(-1.0, 1.0, 0.05)
-    ref, _ = quad(lambda t: phi(t) * math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi),
+    ref, _ = scipy.integrate.quad(lambda t: phi(t) * math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi),
                   -12.0, 12.0, points=[-1.0, 1.0], limit=200)
     v = float(worst_case.sup_dp_deviation(L, phi, 40, value_mode="float"))
     gap = abs(v - ref)

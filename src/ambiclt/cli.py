@@ -27,6 +27,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import __version__
+from ._exact import to_fraction
 from .closed_form import (
     IndicatorLimit,
     indicator_limit_detail,
@@ -238,6 +239,14 @@ _THEOREMS = {
 _CSV_HEADER = ("theorem", "n", "value", "reference", "gap")
 
 
+def _centered(c: float, a: float, b: float) -> bool:
+    """Whether c is the midpoint of a finite [a, b]: as the default c is, in
+    floats, or exactly, each number read through its shortest decimal."""
+    if not all(map(math.isfinite, (a, b, c))):
+        return False
+    return c == 0.5 * (a + b) or to_fraction(c) == (to_fraction(a) + to_fraction(b)) / 2
+
+
 def _run_dp(args, theorem=None) -> int:
     theorem = theorem or args.theorem
     L = _measure_set(args)
@@ -251,13 +260,18 @@ def _run_dp(args, theorem=None) -> int:
         "alpha_scale": args.alpha_scale, "beta_scale": args.beta_scale,
     }
     spec = _THEOREMS[theorem]
-    limit = None
+    limit, off_center = None, False
     if spec.side is not None and args.a is not None and args.b is not None:
-        limit = IndicatorLimit(iv, args.a, args.b, spec.side).value()
+        # off the indicator's midpoint a switching rule has another limit
+        off_center = theorem in ("special", "tilde") and not _centered(rule.center, args.a, args.b)
+        if not off_center:
+            limit = IndicatorLimit(iv, args.a, args.b, spec.side).value()
     if args.n_list:
         reference = limit if args.reference is None else args.reference
         if reference is None:
-            raise ConfigError("convergence table needs --reference for this theorem")
+            raise ConfigError("convergence table needs --reference: the closed form is the "
+                              "limit only at c = (a + b)/2" if off_center else
+                              "convergence table needs --reference for this theorem")
         report = convergence_report(
             L, phi, args.n_list, reference, variant=theorem,
             rule=rule, alpha=repr(args.alpha_scale), beta=repr(args.beta_scale),

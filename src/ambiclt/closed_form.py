@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+import scipy
 
 from .measures import AmbiguityInterval
 
@@ -66,7 +66,7 @@ def _exp_times_cdf(log_weight: float, z: float) -> float:
     The products appearing in the limits are bounded by 1 even when the
     weight alone overflows, so summing exponents first is always safe.
     """
-    total = log_weight + float(log_ndtr(z))
+    total = log_weight + float(scipy.special.log_ndtr(z))
     return math.exp(total)
 
 
@@ -156,7 +156,7 @@ def reflected_density(x: float, kappa: float, t: float, z):
     gauss = np.exp(
         -((x - z_arr) ** 2 + 2.0 * kappa * t * (az - ax) + (kappa * t) ** 2) / (2.0 * t)
     ) / math.sqrt(2.0 * math.pi * t)
-    tail = ndtr((kappa * t - ax - az) / math.sqrt(t))
+    tail = scipy.special.ndtr((kappa * t - ax - az) / math.sqrt(t))
     out = gauss + kappa * np.exp(-2.0 * kappa * az) * tail
     if np.isscalar(z) or z_arr.ndim == 0:
         return float(out)

@@ -31,8 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg.lapack import dpttrf, dpttrs
+import scipy
 
 from .measures import AmbiguityInterval
 from .terminal import TerminalFunction
@@ -192,7 +191,7 @@ def _march(
         rhs += out
         rhs[0] *= 0.5
         rhs[-1] *= 0.5
-        rhs, _ = dpttrs(*ldl, rhs, overwrite_b=True)
+        rhs, _ = scipy.linalg.lapack.dpttrs(*ldl, rhs, overwrite_b=True)
         out, rhs = rhs, out
         bad = (out.min(axis=0) < lo - slack) | (out.max(axis=0) > hi + slack)
         if bad.any():
@@ -228,7 +227,7 @@ def _solve_profiles(
         raise UnstableGrid(
             f"dt*kappa = {kappa * dt:.3g} exceeds dx = {dx:.3g}; refine nt"
         )
-    *ldl, info = dpttrf(*_tridiagonal(grid.nx, dt / (dx * dx)))
+    *ldl, info = scipy.linalg.lapack.dpttrf(*_tridiagonal(grid.nx, dt / (dx * dx)))
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal factorization failed (info={info})")
     # at kappa = 0 the generator is identically zero, so every column is the
@@ -383,7 +382,7 @@ def monotone_reduction(phi: TerminalFunction, iv: AmbiguityInterval) -> float:
 
     points = [p for p in phi.breakpoints() if abs(p - mu) < 40.0]
     lo, hi = mu - 40.0, mu + 40.0
-    value, _ = quad(
+    value, _ = scipy.integrate.quad(
         integrand, lo, hi, points=sorted(points) or None, limit=200,
         epsabs=1e-11, epsrel=1e-11,
     )

@@ -7,8 +7,10 @@ by its Gaussian smoothing at bandwidth h, which has the closed form
 Phi((b-x)/h) - Phi((a-x)/h); it is symmetric about (a+b)/2 with slope sign
 opposite to x - center, exactly the shape the switching rules are built for.
 
-Indicators also evaluate *exactly* at rational statistic values, so the
-dynamic programs can classify boundary atoms without rounding.
+Indicators also evaluate *exactly* at exact statistic values, so the
+enumeration oracle classifies boundary atoms without rounding; the dynamic
+program tests its cells against the exact endpoints ``a_exact`` and
+``b_exact`` itself.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import ndtr
+import scipy
 
 from ._exact import ExactValue, to_fraction
 
@@ -122,8 +124,8 @@ class TerminalFunction:
         if self.kind == "indicator":
             return ((x >= self.a) & (x <= self.b)).astype(float)
         if self.kind == "smoothed_indicator":
-            hi = ndtr((self.b - x) / self.h) if math.isfinite(self.b) else np.ones_like(x)
-            lo = ndtr((self.a - x) / self.h) if math.isfinite(self.a) else np.zeros_like(x)
+            hi = scipy.special.ndtr((self.b - x) / self.h) if math.isfinite(self.b) else np.ones_like(x)
+            lo = scipy.special.ndtr((self.a - x) / self.h) if math.isfinite(self.a) else np.zeros_like(x)
             return np.asarray(hi - lo, dtype=float)
         if self.kind == "tabulated":
             if x.shape != (len(self.values),):

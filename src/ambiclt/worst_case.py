@@ -30,13 +30,20 @@ reachable offsets have gaps) and a max (min) over laws.  Float values carry
 float64 weights; exact values carry integer numerators over a power of the
 probabilities' common denominator.
 
-The switching rule's threshold test and terminal indicators are decided by
-a float filter: a cell whose float statistic lies within a small relative
-margin of the threshold or an endpoint is handed to the exact comparison of
-:class:`ambiclt._exact.ExactValue` (an adaptive predicate in the sense of
-Shewchuk), so every decision is the exact one.  A smooth terminal is sampled
-once on the whole layer, each cell's statistic being formed as the float of
-its exact value is, from integer numerators.
+The statistic rises with the row offset, so within a column the cells that
+take the upper mean are a prefix of the rows under the M-rule and a suffix
+under the M-tilde rule, and a terminal indicator holds on a run of rows.
+Each column's boundary is located from the float statistic, for all steps
+at once, and only the cells whose float statistic lies within a small
+relative margin of the threshold or an endpoint take the exact test: the
+sign of the statistic minus the threshold, from the integer numerators of
+its affine form in (m, a, b), in int64 while the products fit and in Python
+ints past that.  This is an adaptive predicate in the sense of Shewchuk, so
+every decision is the exact one.  A backward step then takes each mean's
+expectation only on the rows that can use it and joins the two along the
+boundary.  A smooth terminal is sampled once on the whole layer, each cell's
+statistic being formed as the float of its exact value is, from integer
+numerators.
 
 A seeded Monte Carlo policy evaluator provides lower bounds on the suprema,
 and :func:`convergence_report` tabulates finite-n values against their
@@ -45,9 +52,11 @@ limits.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -62,6 +71,11 @@ VARIANTS = tuple(INCREMENTS)
 
 DEFAULT_N_CAP = 2000
 DEFAULT_MAX_STATES = 4_000_000
+# columns whose switching or indicator boundary is located at once
+_SPLIT_COLUMNS = 1 << 16
+# cells of a layer that a backward step sums at once, each law's sum and
+# terms together a few hundred kB
+_BLOCK_CELLS = 1 << 14
 
 
 class StateExplosion(RuntimeError):
@@ -75,8 +89,8 @@ class DpLattice:
     ``layers[m]`` maps each reachable exact state key (u, w), meaning
     u + w/sqrt(scale), to its continuation value; ``layers[n]`` is the
     terminal payoff itself and ``layers[0]`` holds the single root value.
-    ``exact_tests`` counts the cells whose threshold or indicator test the
-    float filter left to exact arithmetic.
+    ``exact_tests`` counts the exact sign tests the float filter left to
+    integer arithmetic: one per cell and threshold or indicator endpoint.
     """
 
     variant: str
@@ -175,15 +189,15 @@ def _lattice_axis(points: Sequence[Fraction]) -> tuple[Fraction, Fraction, list[
     return origin, unit, [int(d / unit) for d in diffs]
 
 
-def _advance(offsets, moves: Sequence[int], dtype):
+def _advance(offsets, moves: Sequence[int], gap: int, dtype):
     """The sorted offsets that one more move reaches from ``offsets``, as a
     range when they are the run 0, 1, ..., and for each move where
     ``offsets`` land among them: a slice when they land on a contiguous run,
-    else an index array."""
-    size, ordered = len(offsets), sorted(moves)
-    if isinstance(offsets, range) and all(b - a <= size for a, b in zip(ordered, ordered[1:])):
+    else an index array.  ``gap`` is the widest gap between sorted moves."""
+    size = len(offsets)
+    if isinstance(offsets, range) and gap <= size:
         # the run, moved by steps no wider than itself, stays a run
-        return range(size + ordered[-1]), {d: slice(d, d + size) for d in moves}
+        return range(size + max(moves)), {d: slice(d, d + size) for d in moves}
     offsets = np.asarray(offsets, dtype=dtype)
     after = np.unique(np.concatenate([offsets + d for d in moves]))
     lands = {}
@@ -220,17 +234,19 @@ class _Lattice:
         # stored offsets and index arrays.  It counts cells, not bytes: a
         # backward step also holds a few temporaries of a layer's size, and an
         # exact cell is a Python int of about steps*log2(D) bits.
-        offsets, cells = 0, 1
+        offsets, cells, size = 0, 1, 1
+        row_gap, col_gap = (max(np.diff(sorted(moves)), default=0) for moves in (self.dx, dc))
         for m in range(1, steps + 1):
-            rows, row_lands = _advance(self.rows[-1], self.dx, dtype)
-            cols, col_lands = _advance(self.cols[-1], dc, dtype)
+            rows, row_lands = _advance(self.rows[-1], self.dx, row_gap, dtype)
+            cols, col_lands = _advance(self.cols[-1], dc, col_gap, dtype)
             self.rows.append(rows)
             self.cols.append(cols)
             self._lands.append((row_lands, col_lands))
-            stored = [rows, cols, *row_lands.values(), *col_lands.values()]
-            offsets += sum(v.size for v in stored if isinstance(v, np.ndarray))
-            size = math.prod(self.shape(m))
-            cells = cells + size if keep_layers else size + math.prod(self.shape(m - 1))
+            if not (isinstance(rows, range) and isinstance(cols, range)):
+                stored = [rows, cols, *row_lands.values(), *col_lands.values()]
+                offsets += sum(v.size for v in stored if isinstance(v, np.ndarray))
+            prev, size = size, len(rows) * len(cols)
+            cells = cells + size if keep_layers else size + prev
             if offsets + cells > max_states:
                 raise StateExplosion(
                     f"the lattice holds over max_states={max_states} cells and "
@@ -248,11 +264,12 @@ class _Lattice:
     def shape(self, m: int) -> tuple[int, int]:
         return len(self.rows[m]), len(self.cols[m])
 
-    def child(self, m: int, da, db):
-        """The index of the layer-m cell that each cell of layer m - 1 moves
-        to on the offset move (da, db)."""
+    def child(self, m: int, da, db, r0: int, r1: int):
+        """The index of the layer-m cell that each cell of rows r0..r1-1 of
+        layer m - 1 moves to on the offset move (da, db)."""
         row_lands, col_lands = self._lands[m]
         i, j = row_lands[da], col_lands[db]
+        i = slice(i.start + r0, i.start + r1) if isinstance(i, slice) else i[r0:r1]
         if isinstance(i, slice) or isinstance(j, slice):
             return i, j
         return np.ix_(i, j)
@@ -263,45 +280,140 @@ class _Lattice:
         sc = m * self.c0 + int(self.cols[m][j]) * self.uc
         return ExactValue.create(*self.inc.exact(sx, sc, self.n), self.s)
 
-    def classify(self, m: int, float_test, exact_test, points):
-        """``float_test`` of every cell's float value, except that cells near
-        one of ``points`` (finite floats) get ``exact_test`` of their exact
-        value."""
-        a, b = (np.arange(len(o), dtype=float) if isinstance(o, range) else o.astype(float)
-                for o in (self.rows[m], self.cols[m]))
-        a, b = a[:, None], b[None, :]
-        (k0, ka, kb), (g0, ga, gb) = self._coef, self._mag
-        value = m * k0 + a * ka + b * kb
-        out = float_test(value)
-        mag = m * g0 + a * ga + b * gb
-        near = np.zeros(value.shape, dtype=bool)
-        for t in points:
-            near |= np.abs(value - t) <= FILTER_MARGIN * (mag + abs(t))
-        for i, j in zip(*np.nonzero(near)):
-            out[i, j] = exact_test(self.state(m, i, j))
-        self.exact_tests += int(np.count_nonzero(near))
+    @cached_property
+    def _integer_form(self):
+        """The statistic in integers: u = (m*U0 + a*Ua)/du and w = (m*W0 +
+        a*Wa + b*Wb)/dw for offsets (a, b), and sqrt(s) = sqrt(R)/s.denominator
+        with R's integer root, or None."""
+        drift, noise = self.inc.drift, self.inc.noise
+        u = _common_denominator(drift * self.x0 / self.n, drift * self.ux / self.n)
+        w = _common_denominator(noise * (self.x0 - self.c0), noise * self.ux, -noise * self.uc)
+        R = self.s.numerator * self.s.denominator
+        root = math.isqrt(R)
+        return u, w, R, (root if root * root == R else None)
+
+    def sign(self, m, a, b, pt, qt) -> np.ndarray:
+        """The exact sign of (statistic - pt/qt) at row offset ``a`` and
+        column offset ``b`` of layer m, for integer arrays that broadcast
+        (qt > 0), computed in int64 while every product fits in it, else in
+        Python ints."""
+        (du, U0, Ua), (dw, W0, Wa, Wb), R, root = self._integer_form
+        # statistic - pt/qt = A/(du*qt) + B/(dw*sqrt(s)), which times the
+        # positive du*qt*dw*s.numerator is Y + X*sqrt(R): Y = A*cy, X = B*du*qt
+        cy = dw * self.s.numerator
+        big_m, big_a, big_b, big_p, big_q = (int(np.max(np.abs(v))) for v in (m, a, b, pt, qt))
+        x_max = (big_m * abs(W0) + big_a * abs(Wa) + big_b * abs(Wb)) * du * big_q
+        y_max = ((big_m * abs(U0) + big_a * abs(Ua)) * big_q + big_p * du) * cy
+        big = y_max + x_max * root if root is not None else max(x_max * x_max * R, y_max * y_max)
+        dtype = np.int64 if max(big, du * big_q, cy, R) < 2**62 else object
+        m, a, b, pt, qt = (np.asarray(v, dtype=dtype) for v in (m, a, b, pt, qt))
+        Y = ((m * U0 + a * Ua) * qt - pt * du) * cy
+        X = (m * W0 + a * Wa + b * Wb) * (qt * du)
+        if root is not None:
+            return np.sign(Y + X * root)
+        sx, sy = np.sign(X), np.sign(Y)
+        # opposite signs: |Y| against |X|*sqrt(R), compared squared
+        return np.where(sx * sy < 0, sx * np.sign(X * X * R - Y * Y), np.sign(sx + sy))
+
+    def splits(self, layers: Sequence[int], t: Sequence[float], t_exact: Sequence[Fraction],
+               inclusive: Sequence[bool]) -> list[np.ndarray]:
+        """For each column of each layer in ``layers``, the number of its
+        rows whose statistic is below the entry's ``t_exact``, or at or
+        below it where ``inclusive``; ``t`` holds their floats.  The
+        statistic rises with the row offset, so these rows are a prefix of
+        the column.  The float statistic locates each column's boundary, and
+        only the cells within FILTER_MARGIN of t, relative to the magnitudes
+        summed, take the exact sign test.  Layers go in chunks of about
+        _SPLIT_COLUMNS columns, which bounds the temporaries."""
+        out, first, columns = [], 0, 0
+        for k, m in enumerate(layers):
+            columns += len(self.cols[m])
+            if columns >= _SPLIT_COLUMNS or k == len(layers) - 1:
+                chunk = slice(first, k + 1)
+                out += self._splits(layers[chunk], t[chunk], t_exact[chunk], inclusive[chunk])
+                first, columns = k + 1, 0
         return out
+
+    def _splits(self, layers, t, t_exact, inclusive) -> list[np.ndarray]:
+        rows = [_float_offsets(self.rows[m]) for m in layers]
+        sizes = [len(r) for r in rows]
+        widths = [len(self.cols[m]) for m in layers]
+        ends = list(itertools.accumulate(widths, initial=0))  # each entry's columns
+        at_layer = np.repeat(np.arange(len(layers)), widths)  # each column's entry
+        mf, tf, size, top, incl, first = (np.array(v)[at_layer] for v in (
+            [float(m) for m in layers], t, sizes, [r[-1] for r in rows], inclusive,
+            list(itertools.accumulate(sizes[:-1], initial=0))))
+        bf = np.concatenate([_float_offsets(self.cols[m]) for m in layers])
+        (k0, ka, kb), (g0, ga, gb) = self._coef, self._mag
+        # the row offset at which each column's float statistic meets t, and
+        # a half-width that holds every cell within the margin, a row to spare
+        mk, bk, mg, bg, ta = mf * k0, bf * kb, mf * g0, bf * gb, np.abs(tf)
+        at = (tf - (mk + bk)) / ka
+        half = (mg + top * ga + bg + ta) * (2 * FILTER_MARGIN / ka) + 1
+        # the first row at or above at - half, and the most rows a window holds
+        if all(isinstance(self.rows[m], range) for m in layers):
+            lo = np.minimum(np.maximum(np.ceil(at - half), 0), size).astype(np.intp)
+            width = min(int(2 * half.max()) + 2, max(sizes))
+        else:
+            lo, end = (np.concatenate([np.searchsorted(r, x[i:j], side=side)
+                                       for r, i, j in zip(rows, ends, ends[1:])])
+                       for x, side in ((at - half, "left"), (at + half, "right")))
+            width = int((end - lo).max())
+        # the candidate cells: rows lo, lo + 1, ... of every column; rows past
+        # the window are far above t, so their float test is exact
+        i = lo + np.arange(width)[:, None]
+        inside = i < size
+        i = np.minimum(i, size - 1)
+        a = np.concatenate(rows)[first + i]
+        value = mk + a * ka + bk
+        below = np.where(incl, value <= tf, value < tf)
+        near = np.abs(value - tf) <= FILTER_MARGIN * (mg + a * ga + bg + ta)
+        ii, jj = np.nonzero(near & inside)
+        if ii.size:
+            k = at_layer[jj]
+            a_int = np.concatenate([_int_offsets(self.rows[m]) for m in layers])
+            b_int = np.concatenate([_int_offsets(self.cols[m]) for m in layers])
+            pt, qt = (np.array(v, dtype=object)[k] for v in zip(*(
+                (q.numerator, q.denominator) for q in t_exact)))
+            sign = self.sign(np.array(layers)[k], a_int[first[jj] + i[ii, jj]], b_int[jj], pt, qt)
+            below[ii, jj] = sign < incl[jj]  # sign <= 0 where inclusive, else sign < 0
+            self.exact_tests += ii.size
+        counts = lo + (below & inside).sum(axis=0)
+        return [counts[i:j] for i, j in zip(ends, ends[1:])]
 
     def statistic(self, m: int) -> np.ndarray:
         """``float(self.state(m, i, j))`` of every cell of layer m."""
-        drift, noise, n = self.inc.drift, self.inc.noise, self.n
-        # u and w of cell (i, j) as c0 + a*ca + b*cb for the offsets (a, b)
-        u = (drift * m * self.x0 / n, drift * self.ux / n, Fraction(0))
-        w = (noise * m * (self.x0 - self.c0), noise * self.ux, -noise * self.uc)
+        (du, U0, Ua), (dw, W0, Wa, Wb), R, root = self._integer_form
         rows, cols = self.rows[m], self.cols[m]
-        root = sqrt_exact(self.s)
-        if root is not None:  # canonical: w is folded into u
-            return _rounded([p + q / root for p, q in zip(u, w)], rows, cols)
-        return _rounded(u, rows, cols) + _rounded(w, rows, cols) / math.sqrt(float(self.s))
+        if root is not None:  # canonical: w/sqrt(s) = w*sd/root is folded into u
+            sd = self.s.denominator
+            return _rounded(du * dw * root, m * U0 * dw * root + m * W0 * du * sd,
+                            Ua * dw * root + Wa * du * sd, Wb * du * sd, rows, cols)
+        return (_rounded(du, m * U0, Ua, 0, rows, cols)
+                + _rounded(dw, m * W0, Wa, Wb, rows, cols) / math.sqrt(float(self.s)))
 
 
-def _rounded(coef, rows, cols) -> np.ndarray:
-    """float(c0 + a*ca + b*cb) for rational coefficients over row offsets a
-    and column offsets b, as one correctly rounded division of exact
-    integers: int64 ones while every integer stays within 2**53, where
-    float64 holds them exactly, and Python ones past it."""
+def _common_denominator(*coef) -> tuple[int, ...]:
+    """(den, k0, k1, ...) with coefficient i = k_i/den for rational coefficients."""
     den = math.lcm(*(c.denominator for c in coef))
-    k0, ka, kb = (int(c * den) for c in coef)
+    return (den, *(int(c * den) for c in coef))
+
+
+def _float_offsets(offsets) -> np.ndarray:
+    if isinstance(offsets, range):
+        return np.arange(len(offsets), dtype=float)
+    return offsets.astype(float)
+
+
+def _int_offsets(offsets) -> np.ndarray:
+    return np.arange(len(offsets)) if isinstance(offsets, range) else offsets
+
+
+def _rounded(den: int, k0: int, ka: int, kb: int, rows, cols) -> np.ndarray:
+    """float((k0 + a*ka + b*kb)/den) over row offsets a and column offsets b,
+    one correctly rounded division of exact integers: int64 ones while every
+    integer stays within 2**53, where float64 holds them exactly, and Python
+    ones past it."""
     amax, bmax = int(rows[-1]), int(cols[-1])  # offsets are sorted
     small = max(den, amax, bmax, abs(k0) + amax * abs(ka) + bmax * abs(kb)) <= 2**53
     dtype = np.int64 if small else object
@@ -321,7 +433,16 @@ def _terminal_layer(grid: _Lattice, phi: TerminalFunction | None, m: int,
             V[a, b] = terminal(*grid.state(m, a, b).key())
         return V
     if phi.supports_exact:
-        return grid.classify(m, phi.sample, phi.evaluate_exact, phi.breakpoints())
+        # the indicator of [a, b] holds on rows lo..hi-1 of each column: lo
+        # counts the rows below a, hi those at or below b
+        size, _ = grid.shape(m)
+        finite = [end for end in ((phi.a, phi.a_exact, False), (phi.b, phi.b_exact, True))
+                  if end[1] is not None]
+        counts = grid.splits([m] * len(finite), *zip(*finite)) if finite else []
+        lo = counts.pop(0) if phi.a_exact is not None else 0
+        hi = counts.pop(0) if phi.b_exact is not None else size
+        rows = np.arange(size)[:, None]
+        return ((rows >= lo) & (rows < hi)).astype(float)
     return phi.sample(grid.statistic(m))
 
 
@@ -360,71 +481,109 @@ def _dp_value(
         weights, dtype = [[p / D for p in law] for law in route.weights], float
 
     # The laws grouped by center, so that laws sharing a center share their
-    # children: [(b-offset of the center, weights of the laws taking it)].
+    # children: [(b-offset of the center, the group's law count, [(a-offset
+    # of an outcome, the outcome's weight in each law of the group)])],
+    # outcomes in order.
     def grouped(law_centers):
-        return [(grid.dc[c], [pj for pj, cj in zip(weights, law_centers) if cj == c])
-                for c in dict.fromkeys(law_centers)]
+        groups = []
+        for c in dict.fromkeys(law_centers):
+            laws = [pj for pj, cj in zip(weights, law_centers) if cj == c]
+            terms = [(da, p if len(laws) > 1 else p[0])
+                     for da, p in zip(grid.dx, zip(*laws)) if any(p)]
+            if len(laws) > 1:  # one weight per law, along a leading axis
+                terms = [(da, np.array(p, dtype=dtype)[:, None, None]) for da, p in terms]
+            groups.append((grid.dc[c], len(laws), terms))
+        return groups
 
     if switching:
-        lo, hi = (grouped([mu] * len(weights)) for mu in centers)
+        # Under the M-rule the cells at or below the step's threshold take
+        # the upper mean, under the M-tilde rule the cells below it take the
+        # lower one: either way a prefix of each column's rows takes
+        # ``first_mu``.  splits[m - 1] counts those rows in each column of
+        # layer m - 1.
+        lo_mu, hi_mu = centers
+        first_mu, rest_mu = (lo_mu, hi_mu) if inc.tilde else (hi_mu, lo_mu)
+        first, rest = (grouped([mu] * len(weights)) for mu in (first_mu, rest_mu))
+        thresholds, float_thresholds = rule._thresholds(n)
+        splits = grid.splits(range(steps), float_thresholds, thresholds,
+                             [not inc.tilde] * steps)
     else:
         fixed = grouped(centers)
-
-    def upper(m: int) -> np.ndarray:
-        """Which cells of layer m - 1 center step m on the upper mean."""
-        thr = rule.threshold_exact(m, n)
-        return grid.classify(
-            m - 1,
-            lambda M: rule.upper(M, float(thr), inc.tilde),
-            lambda ev: rule.upper(ev, thr, inc.tilde),
-            [] if math.isinf(thr) else [float(thr)],
-        )
 
     # forward reachability, for the per-state table only
     if keep_layers:
         reach = [np.ones((1, 1), dtype=bool)]
-        uppers = {}
         for m in range(1, steps + 1):
             prev = reach[-1]
             if switching:
-                up = uppers[m] = upper(m)
-                sources = [(grid.dc[centers[1]], prev & up), (grid.dc[centers[0]], prev & ~up)]
+                s = splits[m - 1]
+                firsts = np.arange(len(prev))[:, None] < s
+                sources = [(grid.dc[first_mu], prev & firsts), (grid.dc[rest_mu], prev & ~firsts)]
             else:
-                sources = [(db, prev) for db, _ in fixed]
+                sources = [(db, prev) for db, _, _ in fixed]
             nxt = np.zeros(grid.shape(m), dtype=bool)
             for db, src in sources:
                 for da in grid.dx:
-                    nxt[grid.child(m, da, db)] |= src
+                    nxt[grid.child(m, da, db, 0, len(prev))] |= src
             reach.append(nxt)
 
     V = _terminal_layer(grid, phi, steps, terminal)
     if exact_values:
         V = V.astype(np.int64).astype(object)
 
-    # backward induction
-    better = np.less if minimize else np.greater
+    # backward induction: a step goes through the rows in blocks of about
+    # _BLOCK_CELLS cells, whose per-law sums and terms stay in cache
+    best_of = np.minimum if minimize else np.maximum
+    # a block is a whole layer, or under _BLOCK_CELLS cells plus one row
+    cells = max((math.prod(grid.shape(m)) for m in range(steps)), default=0)
+    widest = max((len(grid.cols[m]) for m in range(steps)), default=0)
+    laws = max(k for _, k, _ in (first + rest if switching else fixed))
+    sums, terms_buf = (np.empty(laws * min(cells, _BLOCK_CELLS + widest), dtype)
+                       for _ in range(2))
 
-    def expectation(V, m: int, groups):
-        """Best over the groups' laws of the expected layer-m value, on the
-        cells of layer m - 1; terms are added in outcome order."""
-        best = None
-        for db, law_weights in groups:
-            children = [V[grid.child(m, da, db)] for da in grid.dx]
-            for pj in law_weights:
-                total = np.zeros(grid.shape(m - 1), dtype=dtype)
-                for child, p in zip(children, pj):
-                    if p:
-                        total = total + p * child
-                best = total if best is None else np.where(better(total, best), total, best)
-        return best
+    def expectation(V, m: int, groups, r0: int, r1: int, out: np.ndarray) -> None:
+        """Write into ``out`` the best over the groups' laws of the expected
+        layer-m value, on rows r0..r1-1 of layer m - 1; terms are added in
+        outcome order."""
+        rows = max(1, _BLOCK_CELLS // out.shape[1])
+        for b0 in range(r0, r1, rows):
+            b1 = min(b0 + rows, r1)
+            block_out = out[b0 - r0:b1 - r0]
+            for g, (db, k, terms) in enumerate(groups):
+                shape = (k, *block_out.shape) if k > 1 else block_out.shape
+                size = math.prod(shape)
+                total = block_out if g == 0 and k == 1 else sums[:size].reshape(shape)
+                term = terms_buf[:size].reshape(shape)
+                for t, (da, p) in enumerate(terms):
+                    child = V[grid.child(m, da, db, b0, b1)]
+                    np.multiply(p, child, out=term if t else total)
+                    if t:
+                        total += term
+                if k > 1:  # one row of values per law
+                    best_of.reduce(total, axis=0, out=block_out if g == 0 else term[0])
+                    total = term[0]
+                if g:
+                    best_of(block_out, total, out=block_out)
 
     kept = [V]
     for m in range(steps, 0, -1):
+        nxt = np.empty(grid.shape(m - 1), dtype)
         if switching:
-            up = uppers[m] if keep_layers else upper(m)
-            V = np.where(up, expectation(V, m, hi), expectation(V, m, lo))
+            s = splits[m - 1]
+            size = len(nxt)
+            # nondecreasing: the statistic falls as the column offset rises
+            lo_s, hi_s = int(s[0]), int(s[-1])
+            if lo_s < size:
+                expectation(V, m, rest, lo_s, size, nxt[lo_s:])
+            if hi_s:
+                head = np.empty((hi_s, nxt.shape[1]), dtype)
+                expectation(V, m, first, 0, hi_s, head)
+                nxt[:lo_s] = head[:lo_s]
+                band = np.arange(lo_s, hi_s)[:, None] < s
+                np.copyto(nxt[lo_s:hi_s], head[lo_s:], where=band)
         else:
-            V = expectation(V, m, fixed)
+            expectation(V, m, fixed, 0, len(nxt), nxt)
+        V = nxt
         if keep_layers:
             kept.append(V)
 
@@ -529,28 +688,36 @@ def enumerate_worst_case(
         raise ValueError("enumeration is exponential; use n <= 10")
     if not phi.supports_exact:
         raise ValueError("enumeration oracle needs an indicator-kind terminal")
-    inc, D = route.inc, route.D
+    inc, D, s = route.inc, route.D, route.s
+    root = sqrt_exact(s)
+    thresholds = rule._thresholds(n)[0] if inc.switching else None
+    moves: dict = {}  # center -> (du, dw) of each outcome
     better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
 
-    def rec(m: int, M: ExactValue) -> Fraction:
+    def fold(u: Fraction, w: Fraction) -> tuple[Fraction, Fraction]:
+        """The canonical (u, w), as ExactValue.create makes it."""
+        return (u + w / root, Fraction(0)) if root is not None and w else (u, w)
+
+    def rec(m: int, u: Fraction, w: Fraction) -> Fraction:
+        M = ExactValue(u, w, s)
         if m == n:
             return phi.evaluate_exact(M)
-        step = m + 1
         centers = route.centers
         if inc.switching:
-            mu = rule.mean(M, rule.threshold_exact(step, n), inc.tilde)
-            centers = [mu] * len(route.weights)
+            centers = [rule.mean(M, thresholds[m], inc.tilde)] * len(route.weights)
         children: dict = {}  # center -> child values by outcome
         best = None
         for c, pj in zip(centers, route.weights):
             if c not in children:
-                children[c] = [rec(step, M.shift(*inc.exact(x, c, n))) for x in route.values]
+                if c not in moves:
+                    moves[c] = [inc.exact(x, c, n) for x in route.values]
+                children[c] = [rec(m + 1, *fold(u + du, w + dw)) for du, dw in moves[c]]
             total = Fraction(sum(p * child for child, p in zip(children[c], pj)), D)
             if best is None or better(total, best):
                 best = total
         return best
 
-    return rec(0, ExactValue.zero(route.s))
+    return rec(0, Fraction(0), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,34 @@ class TestDpCommand:
         assert header == "theorem,n,value,reference,gap"
         assert row.startswith("deviation,3,") and row.endswith(",,")
 
+    COIN_BOX = ["--p", "0.6", "--q", "0.3", "--a", "-1", "--b", "1"]
+
+    @pytest.mark.parametrize("theorem", ["special", "tilde"])
+    def test_off_center_switching_rule_has_no_closed_form_reference(self, capsys, theorem):
+        # the switching statistic tends to the closed form only at c = (a + b)/2
+        assert run_cli(["dp", "--theorem", theorem, *self.COIN_BOX, "--c", "0.5",
+                        "--n", "160"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "limit_reference" not in payload and "gap" not in payload
+        for c in ("0", "0.0", "-0"):
+            assert run_cli(["dp", "--theorem", theorem, *self.COIN_BOX, "--c", c,
+                            "--n", "4"]) == 0
+            assert "limit_reference" in json.loads(capsys.readouterr().out)
+
+    def test_exact_midpoint_counts_as_centered(self, capsys):
+        # 0.5*(0.1 + 0.2) is 0.15000000000000002 in floats, 0.15 exactly
+        for c in ([], ["--c", "0.15"]):
+            assert run_cli(["dp", "--theorem", "special", "--p", "0.6", "--q", "0.3",
+                            "--a", "0.1", "--b", "0.2", *c, "--n", "4"]) == 0
+            assert "limit_reference" in json.loads(capsys.readouterr().out)
+
+    def test_off_center_table_needs_a_reference(self, capsys):
+        argv = ["dp", "--theorem", "special", *self.COIN_BOX, "--c", "0.5", "--n-list", "4", "8"]
+        assert run_cli(argv) == 2
+        assert "--reference" in json.loads(capsys.readouterr().err)["message"]
+        assert run_cli(argv + ["--reference", "0.8785"]) == 0
+        assert json.loads(capsys.readouterr().out)["reference"] == 0.8785
+
     @pytest.mark.parametrize("given, omitted", [
         (["--a", "-1", "--b", "inf"], ["--a", "-1"]),
         (["--a=-inf", "--b", "0.5"], ["--b", "0.5"]),
@@ -435,3 +463,18 @@ class TestConsoleScript:
         proc = subprocess.run(["ambiclt", *self.ARGV], capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == pytest.approx(0.6826894921370859)
+
+
+def test_import_loads_no_scipy_submodule():
+    # scipy.special, scipy.integrate and scipy.linalg load on the first call
+    # that needs them, not on import
+    src = str(Path(ambiclt.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, ambiclt, ambiclt.cli\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+             "(['scipy', 'special'], ['scipy', 'integrate'], ['scipy', 'linalg'])))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -295,6 +295,46 @@ class TestTerminalLayer:
             [self.SMOOTH(float(grid.state(n, *c))) for c in cells])
 
 
+class TestExactSign:
+    """The lattice's integer sign test against ExactValue.cmp, on every cell."""
+
+    @staticmethod
+    def thresholds(grid, m, rule, n):
+        """The rule's thresholds, +/-1, and the least, a middle and the
+        greatest rational statistic value of layer m, an exact tie for some
+        cell."""
+        rational = sorted({state.u for state in (grid.state(m, *c)
+                                                 for c in np.ndindex(grid.shape(m)))
+                           if state.w == 0})
+        picks = rational[::max(1, len(rational) // 2)] + rational[-1:]
+        return sorted({Fraction(1), Fraction(-1), *rule._thresholds(n)[0], *picks})
+
+    # the coin at n = 16 has sqrt(n*sigma^2) = 18/5, rational; at n = 15 it
+    # is irrational; the 10**-18 unit takes the test into Python ints
+    @pytest.mark.parametrize("L, n, python_ints", [
+        (COIN, 16, False), (COIN, 15, False), (COIN.shifted("1/10"), 7, False),
+        (THREE, 6, False), (TestFineLatticeUnit.fine("1/1000000000000000000"), 4, True),
+    ])
+    @pytest.mark.parametrize("variant", ["special", "tilde", "scaled"])
+    def test_sign_is_the_exact_comparison(self, L, n, python_ints, variant):
+        from ambiclt.worst_case import _Lattice, _route
+
+        rule = SwitchRule(0.0, validate_measure_set(L))
+        grid = _Lattice(_route(L, variant, n, rule, "1/2", 2), n, 10**6, False)
+        ties = 0
+        for m in range(n + 1):
+            cells = list(np.ndindex(grid.shape(m)))
+            a = np.array([grid.rows[m][i] for i, _ in cells])
+            b = np.array([grid.cols[m][j] for _, j in cells])
+            for t in self.thresholds(grid, m, rule, n):
+                sign = grid.sign(m, a, b, t.numerator, t.denominator)
+                assert (sign.dtype == object) == python_ints
+                want = [grid.state(m, *c).cmp(t) for c in cells]
+                assert [int(x) for x in sign] == want, (m, t)
+                ties += want.count(0)
+        assert ties > 0
+
+
 def run_route(route, variant="clt", n=3, rule=None, paths=10):
     """Call one of the four routes on the coin with the box payoff."""
     if route == "dp":
@@ -622,6 +662,22 @@ class TestDpLattice:
     def test_root_layer_is_a_single_state(self):
         lattice = dp_lattice(COIN, BOX, 3, "clt", value_mode="exact")
         assert len(lattice.layers[0]) == 1
+
+
+class TestShiftEquivariance:
+    # moving every outcome, the rule's center and the payoff's endpoints by t
+    # moves M_m by m*t/n and each threshold with it: no value changes
+    @pytest.mark.parametrize("t", [Fraction(0), Fraction(1, 5), Fraction(-7, 3)])
+    @pytest.mark.parametrize("variant, n", [("special", 5), ("special", 8), ("tilde", 5)])
+    def test_exact_dp_is_unmoved_by_a_rational_shift(self, variant, n, t):
+        from ambiclt.worst_case import _dp_value
+
+        shifted = COIN.shifted(t)
+        rule = SwitchRule(t, validate_measure_set(shifted))
+        box = TerminalFunction.indicator(t - 1, t + 1)
+        kw = dict(minimize=variant == "tilde", value_mode="exact")
+        want = _dp_value(COIN, BOX, n, variant, rule=RULE, **kw)
+        assert _dp_value(shifted, box, n, variant, rule=rule, **kw) == want
 
 
 def dict_band_probability(L, n, m, delta, rule):

@@ -18,8 +18,12 @@ chunk of 7 paths), the statistics fold (``path_statistic`` exact and float,
 ``enumerate_worst_case`` for every variant at n <= 6 with switching centers
 0, 0.17 and +/-inf, ``size_power_simulation``, ``epsilon_extrapolate`` at
 kappa 0, 0.3 and 0.6, PDE profiles, and the ``ambiclt mc`` and ``ambiclt pde``
-payloads, ``ambiclt dp`` with one or both endpoints included.  It takes
-about a minute on one core.
+payloads, ``ambiclt dp`` with one or both endpoints included.  Two digests
+cover the dynamic program further: ``dp_layers``, the per-state tables of
+``dp_lattice`` (every layer's keys and values, and its count of exact
+tests) at n = 5 and 12, and ``dp_float_long``, float ``special`` and
+``tilde`` values at n = 40 and 64 with switching centers 0 and 0.17.  It
+takes about a minute and a half on one core.
 """
 
 from __future__ import annotations
@@ -126,6 +130,38 @@ def dynamic_program(exact, floats, product, band):
                         L, 9, m, delta, rule)).encode())
 
 
+def dp_layers(digest):
+    for L in DP_SETS:
+        iv = validate_measure_set(L)
+        for variant in worst_case.VARIANTS:
+            switching = variant in ("special", "tilde")
+            rules = [SwitchRule(c, iv) for c in CENTERS] if switching else [None]
+            weights = [(1, 1)] + ([("1/2", 2)] if variant == "scaled" else [])
+            for rule in rules:
+                for alpha, beta in weights:
+                    kw = dict(rule=rule, alpha=alpha, beta=beta, minimize=variant == "tilde")
+                    for n in (5, 12):
+                        for phi in SHARP + SMOOTH:
+                            for mode in ["float"] + (["exact"] if phi.supports_exact else []):
+                                lattice = worst_case.dp_lattice(L, phi, n, variant,
+                                                                value_mode=mode, **kw)
+                                digest.update(repr((lattice.scale, lattice.layers,
+                                                    lattice.exact_tests)).encode())
+
+
+def dp_float_long(digest):
+    for L in DP_SETS:
+        iv = validate_measure_set(L)
+        for center in (0.0, 0.17):
+            rule = SwitchRule(center, iv)
+            for variant in ("special", "tilde"):
+                for n in (40, 64):
+                    for phi in SHARP + SMOOTH:
+                        digest.update(repr(worst_case._dp_value(
+                            L, phi, n, variant, rule=rule, minimize=variant == "tilde",
+                            value_mode="float")).encode())
+
+
 def monte_carlo(simulate, estimate):
     default = worst_case._CHUNK_PATHS
     try:
@@ -201,9 +237,12 @@ def main() -> int:
     digests = {name: hashlib.sha256() for name in (
         "dp_exact", "dp_float", "product_model_value", "band_probability_sup",
         "simulate_statistic_values", "mc_policy_value", "size_power_simulation",
-        "epsilon_extrapolate", "pde_profiles", "cli_payloads", "fold", "oracle")}
+        "epsilon_extrapolate", "pde_profiles", "cli_payloads", "fold", "oracle",
+        "dp_layers", "dp_float_long")}
     dynamic_program(digests["dp_exact"], digests["dp_float"],
                     digests["product_model_value"], digests["band_probability_sup"])
+    dp_layers(digests["dp_layers"])
+    dp_float_long(digests["dp_float_long"])
     monte_carlo(digests["simulate_statistic_values"], digests["mc_policy_value"])
     fold(digests["fold"])
     oracle(digests["oracle"])
