@@ -158,17 +158,14 @@ def _measure_set(args):
 
 
 def _terminal(args) -> TerminalFunction:
-    a = getattr(args, "a", None)
-    b = getattr(args, "b", None)
-    if a is None and b is None:
+    if args.a is None and args.b is None:
         raise ConfigError("need at least one of --a/--b for the indicator")
-    h = getattr(args, "h", None)
-    if h and a is not None and b is not None:
-        return TerminalFunction.smoothed_indicator(a, b, h)
+    a = -math.inf if args.a is None else args.a
+    b = math.inf if args.b is None else args.b
+    if args.h is not None:
+        return TerminalFunction.smoothed_indicator(a, b, args.h)
     # a finite endpoint goes in as its shortest decimal, read exactly
-    a, b = (x if math.isinf(x) else repr(x)
-            for x in (-math.inf if a is None else a, math.inf if b is None else b))
-    return TerminalFunction.indicator(a, b)
+    return TerminalFunction.indicator(*(x if math.isinf(x) else repr(x) for x in (a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +256,8 @@ def _run_dp(args, theorem=None) -> int:
         "measures": getattr(args, "measures", None),
         "alpha_scale": args.alpha_scale, "beta_scale": args.beta_scale,
     }
+    if args.h is not None:  # only when given, so a sharp run's payload stays as it is
+        params["h"] = args.h
     spec = _THEOREMS[theorem]
     limit, off_center = None, False
     if spec.side is not None and args.a is not None and args.b is not None:
@@ -327,6 +326,8 @@ def _run_mc(args) -> int:
         "paths": args.paths, "seed": args.seed, "a": args.a, "b": args.b,
         "c": rule.center,
     }
+    if args.h is not None:
+        params["h"] = args.h
     body = {"estimate": est.estimate, "stderr": est.stderr}
     _emit(args, _payload("mc", "mc_policy_value", params, body))
     return EXIT_OK

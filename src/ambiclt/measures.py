@@ -169,7 +169,8 @@ def validate_measure_set(L: MeasureSet) -> AmbiguityInterval:
     DegenerateSigma
         if the common variance is zero.
     """
-    variances = [law.variance() for law in L.laws]
+    means = L.means()
+    variances = [law.second_moment() - mu * mu for law, mu in zip(L.laws, means)]
     if len(set(variances)) > 1:
         raise VarianceAmbiguous(
             f"law variances span {float(min(variances))!r}..{float(max(variances))!r}"
@@ -177,7 +178,7 @@ def validate_measure_set(L: MeasureSet) -> AmbiguityInterval:
     sigma_sq = variances[0]
     if sigma_sq == 0:
         raise DegenerateSigma("common variance is zero")
-    mu_lo, mu_hi = L.mean_bounds()
+    mu_lo, mu_hi = min(means), max(means)
     root = sqrt_exact(sigma_sq)
     sigma: Union[float, Fraction] = root if root is not None else sqrt(float(sigma_sq))
     return AmbiguityInterval(mu_lo, mu_hi, sigma, sigma_sq=sigma_sq)

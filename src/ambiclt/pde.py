@@ -53,7 +53,8 @@ __all__ = [
 
 
 class UnstableGrid(ValueError):
-    """Grid violates the explicit gradient-term step bound."""
+    """Grid violates the explicit gradient-term step bound, or even the
+    monotone upwind march breaks the discrete max principle on it."""
 
 
 class OutOfDomain(ValueError):
@@ -205,10 +206,6 @@ def _march(
     return block, np.isin(np.arange(k), active)
 
 
-class _MaxPrincipleViolated(Exception):
-    pass
-
-
 def _solve_profiles(
     v0: np.ndarray, kappa: float, eps, grid: PdeGrid, duration: float, steps: int
 ) -> np.ndarray:
@@ -216,7 +213,8 @@ def _solve_profiles(
 
     The matrix is factored once; the columns march centered as one block,
     and a column that breaks the max principle is re-marched alone with the
-    monotone upwind scheme from v0, leaving the other columns as they are.
+    monotone upwind scheme from v0, leaving the other columns as they are;
+    if that breaks it too, :class:`UnstableGrid` is raised.
     """
     eps = np.asarray(eps, dtype=float)
     if steps == 0 or duration == 0.0:
@@ -237,7 +235,8 @@ def _solve_profiles(
     for j in np.flatnonzero(~ok):
         column, fine = _march(v0, kappa, marched[j:j + 1], ldl, dx, dt, steps, "upwind")
         if not fine[0]:
-            raise _MaxPrincipleViolated()
+            raise UnstableGrid(f"the upwind re-march of eps = {float(marched[j])!r} "
+                               "broke the max principle; refine nt")
         block[:, j] = column[:, 0]
     return np.tile(block, (1, len(eps))) if kappa == 0 else block
 

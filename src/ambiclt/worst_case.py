@@ -24,11 +24,9 @@ with rational u, w, so paths reaching the same value share one cell -- the
 difference between this polynomial lattice and the exponential tree that
 :func:`enumerate_worst_case` walks for cross-checking.  Each layer is one
 numpy array with a row per reachable a and a column per reachable b, so its
-size follows the number of distinct sums, not the fineness of the units.  A
-backward step is a few weighted sums of shifted slices (gathers where the
-reachable offsets have gaps) and a max (min) over laws.  Float values carry
-float64 weights; exact values carry integer numerators over a power of the
-probabilities' common denominator.
+size follows the number of distinct sums, not the fineness of the units.
+Float values carry float64 weights; exact values carry integer numerators
+over a power of the probabilities' common denominator.
 
 The statistic rises with the row offset, so within a column the cells that
 take the upper mean are a prefix of the rows under the M-rule and a suffix
@@ -39,11 +37,17 @@ relative margin of the threshold or an endpoint take the exact test: the
 sign of the statistic minus the threshold, from the integer numerators of
 its affine form in (m, a, b), in int64 while the products fit and in Python
 ints past that.  This is an adaptive predicate in the sense of Shewchuk, so
-every decision is the exact one.  A backward step then takes each mean's
-expectation only on the rows that can use it and joins the two along the
-boundary.  A smooth terminal is sampled once on the whole layer, each cell's
-statistic being formed as the float of its exact value is, from integer
-numerators.
+every decision is the exact one.  A smooth terminal is sampled once on the
+whole layer, each cell's statistic being formed as the float of its exact
+value is, from integer numerators.
+
+Every variant takes one backward step.  The rows of a column up to its
+split take the ``first`` centers and the others the ``rest``: under a
+switching rule the split is the column's boundary; without one every row is
+a first row, each law keeping its own center.  Each law's expectation is a
+weighted sum of shifted slices of the next layer (gathers where the
+reachable offsets have gaps), formed with the laws on a leading axis in row
+blocks that stay in cache, and reduced by max (min) over the laws.
 
 A seeded Monte Carlo policy evaluator provides lower bounds on the suprema,
 and :func:`convergence_report` tabulates finite-n values against their
@@ -74,7 +78,7 @@ DEFAULT_MAX_STATES = 4_000_000
 # columns whose switching or indicator boundary is located at once
 _SPLIT_COLUMNS = 1 << 16
 # cells of a layer that a backward step sums at once, each law's sum and
-# terms together a few hundred kB
+# term together a few hundred kB
 _BLOCK_CELLS = 1 << 14
 
 
@@ -144,10 +148,11 @@ def _route(L: MeasureSet, variant: str, n: int, rule: SwitchRule | None,
         # the rule's means center the steps, so they must be the set's own
         if rule is None:
             raise ValueError(f"variant {variant!r} needs a switch rule")
-        if rule.exact_mean_pair() != L.mean_bounds():
+        bounds = (iv.mu_lower, iv.mu_upper)
+        if rule.exact_mean_pair() != bounds:
             raise ValueError(
                 f"switch rule means {rule.mean_pair()} differ from the measure "
-                f"set's mean bounds {tuple(map(float, L.mean_bounds()))}"
+                f"set's mean bounds {tuple(map(float, bounds))}"
             )
         switching = not math.isinf(rule.center)  # else the rule is frozen
         if switching:
@@ -472,7 +477,7 @@ def _dp_value(
     steps = n if steps is None else steps
     exact_values = _resolve_value_mode(value_mode, phi, n) if terminal is None else False
     grid = _Lattice(route, steps, max_states, keep_layers)
-    inc, switching, centers, D = route.inc, route.switching, route.centers, route.D
+    inc, centers, D = route.inc, route.centers, route.D
 
     # Exact values are integer numerators: layer m over D**(steps - m).
     if exact_values:
@@ -481,26 +486,23 @@ def _dp_value(
         weights, dtype = [[p / D for p in law] for law in route.weights], float
 
     # The laws grouped by center, so that laws sharing a center share their
-    # children: [(b-offset of the center, the group's law count, [(a-offset
-    # of an outcome, the outcome's weight in each law of the group)])],
+    # children: [(b-offset of the center, [(a-offset of an outcome, the
+    # outcome's weight in each law of the group, along a leading axis)])],
     # outcomes in order.
     def grouped(law_centers):
         groups = []
         for c in dict.fromkeys(law_centers):
             laws = [pj for pj, cj in zip(weights, law_centers) if cj == c]
-            terms = [(da, p if len(laws) > 1 else p[0])
+            terms = [(da, np.array(p, dtype=dtype)[:, None, None])
                      for da, p in zip(grid.dx, zip(*laws)) if any(p)]
-            if len(laws) > 1:  # one weight per law, along a leading axis
-                terms = [(da, np.array(p, dtype=dtype)[:, None, None]) for da, p in terms]
-            groups.append((grid.dc[c], len(laws), terms))
+            groups.append((grid.dc[c], terms))
         return groups
 
-    if switching:
-        # Under the M-rule the cells at or below the step's threshold take
-        # the upper mean, under the M-tilde rule the cells below it take the
-        # lower one: either way a prefix of each column's rows takes
-        # ``first_mu``.  splits[m - 1] counts those rows in each column of
-        # layer m - 1.
+    # The first splits[m - 1] rows of each column of layer m - 1 take the
+    # ``first`` groups, the other rows the ``rest``.  Under the M-rule the
+    # cells at or below the step's threshold take the upper mean, under the
+    # M-tilde rule the cells below it the lower one: either way a prefix.
+    if route.switching:
         lo_mu, hi_mu = centers
         first_mu, rest_mu = (lo_mu, hi_mu) if inc.tilde else (hi_mu, lo_mu)
         first, rest = (grouped([mu] * len(weights)) for mu in (first_mu, rest_mu))
@@ -508,23 +510,21 @@ def _dp_value(
         splits = grid.splits(range(steps), float_thresholds, thresholds,
                              [not inc.tilde] * steps)
     else:
-        fixed = grouped(centers)
+        # every column's split is its full height: one entry, broadcast
+        first, rest = grouped(centers), []
+        splits = [np.full(1, len(grid.rows[m])) for m in range(steps)]
 
     # forward reachability, for the per-state table only
     if keep_layers:
         reach = [np.ones((1, 1), dtype=bool)]
         for m in range(1, steps + 1):
             prev = reach[-1]
-            if switching:
-                s = splits[m - 1]
-                firsts = np.arange(len(prev))[:, None] < s
-                sources = [(grid.dc[first_mu], prev & firsts), (grid.dc[rest_mu], prev & ~firsts)]
-            else:
-                sources = [(db, prev) for db, _, _ in fixed]
+            firsts = np.arange(len(prev))[:, None] < splits[m - 1]
             nxt = np.zeros(grid.shape(m), dtype=bool)
-            for db, src in sources:
-                for da in grid.dx:
-                    nxt[grid.child(m, da, db, 0, len(prev))] |= src
+            for groups, src in ((first, prev & firsts), (rest, prev & ~firsts)):
+                for db, _ in groups:
+                    for da in grid.dx:
+                        nxt[grid.child(m, da, db, 0, len(prev))] |= src
             reach.append(nxt)
 
     V = _terminal_layer(grid, phi, steps, terminal)
@@ -532,14 +532,8 @@ def _dp_value(
         V = V.astype(np.int64).astype(object)
 
     # backward induction: a step goes through the rows in blocks of about
-    # _BLOCK_CELLS cells, whose per-law sums and terms stay in cache
+    # _BLOCK_CELLS cells, whose per-law sums stay in cache
     best_of = np.minimum if minimize else np.maximum
-    # a block is a whole layer, or under _BLOCK_CELLS cells plus one row
-    cells = max((math.prod(grid.shape(m)) for m in range(steps)), default=0)
-    widest = max((len(grid.cols[m]) for m in range(steps)), default=0)
-    laws = max(k for _, k, _ in (first + rest if switching else fixed))
-    sums, terms_buf = (np.empty(laws * min(cells, _BLOCK_CELLS + widest), dtype)
-                       for _ in range(2))
 
     def expectation(V, m: int, groups, r0: int, r1: int, out: np.ndarray) -> None:
         """Write into ``out`` the best over the groups' laws of the expected
@@ -549,40 +543,30 @@ def _dp_value(
         for b0 in range(r0, r1, rows):
             b1 = min(b0 + rows, r1)
             block_out = out[b0 - r0:b1 - r0]
-            for g, (db, k, terms) in enumerate(groups):
-                shape = (k, *block_out.shape) if k > 1 else block_out.shape
-                size = math.prod(shape)
-                total = block_out if g == 0 and k == 1 else sums[:size].reshape(shape)
-                term = terms_buf[:size].reshape(shape)
-                for t, (da, p) in enumerate(terms):
-                    child = V[grid.child(m, da, db, b0, b1)]
-                    np.multiply(p, child, out=term if t else total)
-                    if t:
-                        total += term
-                if k > 1:  # one row of values per law
-                    best_of.reduce(total, axis=0, out=block_out if g == 0 else term[0])
-                    total = term[0]
+            for g, (db, terms) in enumerate(groups):
+                (da, p), *more = terms
+                total = p * V[grid.child(m, da, db, b0, b1)]  # a row of values per law
+                for da, p in more:
+                    total += p * V[grid.child(m, da, db, b0, b1)]
                 if g:
-                    best_of(block_out, total, out=block_out)
+                    best_of(block_out, best_of.reduce(total, axis=0), out=block_out)
+                else:
+                    best_of.reduce(total, axis=0, out=block_out)
 
     kept = [V]
     for m in range(steps, 0, -1):
         nxt = np.empty(grid.shape(m - 1), dtype)
-        if switching:
-            s = splits[m - 1]
-            size = len(nxt)
-            # nondecreasing: the statistic falls as the column offset rises
-            lo_s, hi_s = int(s[0]), int(s[-1])
-            if lo_s < size:
-                expectation(V, m, rest, lo_s, size, nxt[lo_s:])
-            if hi_s:
-                head = np.empty((hi_s, nxt.shape[1]), dtype)
-                expectation(V, m, first, 0, hi_s, head)
-                nxt[:lo_s] = head[:lo_s]
-                band = np.arange(lo_s, hi_s)[:, None] < s
-                np.copyto(nxt[lo_s:hi_s], head[lo_s:], where=band)
-        else:
-            expectation(V, m, fixed, 0, len(nxt), nxt)
+        # the first groups on the rows up to the largest split, the rest on
+        # the rows from the smallest, copied in past the largest and, between
+        # the two, where a row is at or past its column's split
+        s = splits[m - 1]  # nondecreasing: the statistic falls as b rises
+        lo_s, hi_s, size = int(s[0]), int(s[-1]), len(nxt)
+        expectation(V, m, first, 0, hi_s, nxt[:hi_s])
+        if lo_s < size:
+            tail = np.empty((size - lo_s, nxt.shape[1]), dtype)
+            expectation(V, m, rest, lo_s, size, tail)
+            nxt[hi_s:] = tail[hi_s - lo_s:]
+            np.copyto(nxt[lo_s:hi_s], tail[:hi_s - lo_s], where=np.arange(lo_s, hi_s)[:, None] >= s)
         V = nxt
         if keep_layers:
             kept.append(V)

@@ -156,6 +156,33 @@ class TestDpCommand:
             values.append(json.loads(capsys.readouterr().out)["value"])
         assert values[0] == values[1]
 
+    # the value's key and the arguments of each command that takes --h
+    BANDWIDTH_ROUTES = {
+        "dp": ("value", ["dp", "--theorem", "special", "--n", "10"]),
+        "lln": ("value", ["lln", "--n", "10"]),
+        "mc": ("estimate", ["mc", "--theorem", "special", "--n", "10", "--paths", "500"]),
+    }
+
+    @pytest.mark.parametrize("command", list(BANDWIDTH_ROUTES))
+    def test_bandwidth_applies_with_one_endpoint(self, capsys, command):
+        key, route = self.BANDWIDTH_ROUTES[command]
+        values = []
+        for ends in (["--b", "1"], ["--b", "1", "--h", "0.05"],
+                     ["--a=-inf", "--b", "1", "--h", "0.05"]):
+            assert run_cli([*route, "--p", "0.6", "--q", "0.3", *ends]) == 0
+            values.append(json.loads(capsys.readouterr().out)[key])
+        sharp, one_sided, infinite_end = values
+        assert one_sided == infinite_end != sharp
+
+    @pytest.mark.parametrize("command", list(BANDWIDTH_ROUTES))
+    def test_bandwidth_is_a_recorded_parameter_when_given(self, capsys, command):
+        _, route = self.BANDWIDTH_ROUTES[command]
+        for h in ([], ["--h", "0.05"]):
+            assert run_cli([*route, *self.COIN_BOX, *h]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            for parameters in (payload["config"], payload["provenance"]["parameters"]):
+                assert parameters.get("h", "absent") == (0.05 if h else "absent")
+
     def test_measure_file_input(self, tmp_path):
         mfile = tmp_path / "laws.txt"
         mfile.write_text("1:0.6 -1:0.3 0:0.1\n1:0.3 -1:0.6 0:0.1\n")
@@ -254,6 +281,26 @@ class TestErrorsAndExitCodes:
         assert code == 4
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "UnstableGrid"
+
+    def test_failed_upwind_re_march_exits_4(self, capsys, monkeypatch):
+        # kappa = 2 on 41 nodes: the centered march of eps = 0.05 breaks the
+        # max principle, and here the upwind re-march is made to break it too
+        from ambiclt import pde
+
+        march = pde._march
+
+        def upwind_fails(v0, kappa, eps, *args):
+            block, ok = march(v0, kappa, eps, *args)
+            return block, ok & (args[-1] != "upwind")
+
+        monkeypatch.setattr(pde, "_march", upwind_fails)
+        code = run_cli(["pde", "--kappa", "2", "--a", "-1", "--b", "1", "--nx", "41",
+                        "--nt", "20", "--eps", "0.2", "0.05"])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "UnstableGrid" and "upwind" in record["message"]
 
 
 class TestReproducibility:

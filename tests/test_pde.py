@@ -245,6 +245,17 @@ class TestUpwindFallback:
         assert calls == [("centered", [0.2, 0.05], [True, False]),
                          ("upwind", [0.05], [True])]
 
+    def test_failed_upwind_re_march_is_an_unstable_grid(self, monkeypatch):
+        march = pde._march
+
+        def upwind_fails(v0, kappa, eps, *args):
+            block, ok = march(v0, kappa, eps, *args)
+            return block, ok & (args[-1] != "upwind")
+
+        monkeypatch.setattr(pde, "_march", upwind_fails)
+        with pytest.raises(UnstableGrid, match="eps = 0.05"):
+            epsilon_extrapolate(self.PHI, 2.0, self.GRID, self.SWEEP)
+
 
 class TestDppCheck:
     PROBES = [-1.5, -0.5, 0.0, 0.5, 1.5]

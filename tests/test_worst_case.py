@@ -679,6 +679,25 @@ class TestShiftEquivariance:
         want = _dp_value(COIN, BOX, n, variant, rule=RULE, **kw)
         assert _dp_value(shifted, box, n, variant, rule=rule, **kw) == want
 
+    # the fixed-center statistics move by drift*t: the outcome sum moves by
+    # n*t and every law's mean, hence the centered sum, moves with it
+    @pytest.mark.parametrize("t", [Fraction(0), Fraction(1, 5), Fraction(-7, 3)])
+    @pytest.mark.parametrize("n", [5, 8])
+    @pytest.mark.parametrize("variant, alpha, beta, drift", [
+        ("clt", 1, 1, 1), ("scaled", Fraction(1, 2), 2, 2), ("deviation", 1, 1, 0),
+        ("lln", 1, 1, 1),
+    ], ids=["clt", "scaled", "deviation", "lln"])
+    def test_fixed_center_dp_is_unmoved_by_a_rational_shift(self, variant, alpha, beta,
+                                                           drift, n, t):
+        from ambiclt.worst_case import _dp_value
+
+        box = TerminalFunction.indicator(drift * t - 1, drift * t + 1)
+        for mode in ("exact", "float"):
+            kw = dict(alpha=alpha, beta=beta, value_mode=mode)
+            want = _dp_value(COIN, BOX, n, variant, **kw)
+            got = _dp_value(COIN.shifted(t), box, n, variant, **kw)
+            assert (type(got), got) == (type(want), want), mode
+
 
 def dict_band_probability(L, n, m, delta, rule):
     """Reference band probability: the band tested cell by cell on exact
