@@ -126,9 +126,6 @@ class ExactValue:
     def shift(self, du: Fraction, dw: Fraction) -> "ExactValue":
         return ExactValue.create(self.u + du, self.w + dw, self.s)
 
-    def add_const(self, t: Rational) -> "ExactValue":
-        return ExactValue.create(self.u + t, self.w, self.s)
-
     def cmp(self, t: Rational) -> int:
         """Exact sign of (self - t) for rational t."""
         # u - t + w/sqrt(s) = (u - t) + (w/s)*sqrt(s)

@@ -24,9 +24,9 @@ import csv
 import json
 import math
 import sys
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from . import __version__
+from . import __version__, worst_case
 from ._exact import to_fraction
 from .closed_form import (
     IndicatorLimit,
@@ -50,19 +50,13 @@ from .measures import (
     validate_measure_set,
 )
 from .pde import PdeGrid, UnstableGrid, epsilon_extrapolate
-from .statistics import SwitchRule, read_path_csv
+from .statistics import SwitchRule, increment, read_path_csv
 from .terminal import TerminalFunction
 from .worst_case import (
     StateExplosion,
     builtin_policies,
     convergence_report,
-    inf_dp_special_tilde,
     mc_policy_value,
-    sup_dp_clt,
-    sup_dp_deviation,
-    sup_dp_lln,
-    sup_dp_scaled,
-    sup_dp_special,
 )
 
 EXIT_OK = 0
@@ -157,15 +151,28 @@ def _measure_set(args):
     return coin_example(repr(p), repr(q))
 
 
+def _endpoints(args) -> tuple[float, float]:
+    """--a and --b, an omitted one as -inf or inf."""
+    return (-math.inf if args.a is None else args.a, math.inf if args.b is None else args.b)
+
+
 def _terminal(args) -> TerminalFunction:
     if args.a is None and args.b is None:
         raise ConfigError("need at least one of --a/--b for the indicator")
-    a = -math.inf if args.a is None else args.a
-    b = math.inf if args.b is None else args.b
+    a, b = _endpoints(args)
     if args.h is not None:
         return TerminalFunction.smoothed_indicator(a, b, args.h)
     # a finite endpoint goes in as its shortest decimal, read exactly
     return TerminalFunction.indicator(*(x if math.isinf(x) else repr(x) for x in (a, b)))
+
+
+def _statistic_inputs(args) -> tuple:
+    """The measure set, payoff and switching rule of dp, lln and mc; the
+    rule's center defaults to the payoff's, or 0."""
+    L = _measure_set(args)
+    iv = validate_measure_set(L)
+    phi = _terminal(args)
+    return L, phi, SwitchRule(args.c if args.c is not None else (phi.center or 0.0), iv)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +181,7 @@ def _terminal(args) -> TerminalFunction:
 
 def _run_closed_form(args) -> int:
     iv = interval(args.mu_lo, args.mu_hi)
-    a = -math.inf if args.a is None else args.a
-    b = math.inf if args.b is None else args.b
+    a, b = _endpoints(args)
     limit = IndicatorLimit(iv, a, b, args.side)
     detail = indicator_limit_detail(limit)
     params = {"mu_lo": args.mu_lo, "mu_hi": args.mu_hi, "a": a, "b": b, "side": args.side}
@@ -211,24 +217,17 @@ def _run_pde(args) -> int:
 
 
 class _Theorem(NamedTuple):
-    operation: str  # the library function, named in the provenance
-    run: Callable  # (L, phi, rule, args) -> the single-n DP value
+    operation: str  # the worst_case function of a single-n value, named in the provenance
     side: str | None  # side of the indicator limit the values converge to
 
 
 _THEOREMS = {
-    "clt": _Theorem("sup_dp_clt", lambda L, phi, rule, args:
-                    sup_dp_clt(L, phi, args.n), "upper"),
-    "special": _Theorem("sup_dp_special", lambda L, phi, rule, args:
-                        sup_dp_special(L, phi, args.n, rule), "upper"),
-    "tilde": _Theorem("inf_dp_special_tilde", lambda L, phi, rule, args:
-                      inf_dp_special_tilde(L, phi, args.n, rule), "lower"),
-    "deviation": _Theorem("sup_dp_deviation", lambda L, phi, rule, args:
-                          sup_dp_deviation(L, phi, args.n), None),
-    "lln": _Theorem("sup_dp_lln", lambda L, phi, rule, args:
-                    sup_dp_lln(L, phi, args.n), None),
-    "scaled": _Theorem("sup_dp_scaled", lambda L, phi, rule, args: sup_dp_scaled(
-        L, phi, args.n, repr(args.alpha_scale), repr(args.beta_scale)), None),
+    "clt": _Theorem("sup_dp_clt", "upper"),
+    "special": _Theorem("sup_dp_special", "upper"),
+    "tilde": _Theorem("inf_dp_special_tilde", "lower"),
+    "deviation": _Theorem("sup_dp_deviation", None),
+    "lln": _Theorem("sup_dp_lln", None),
+    "scaled": _Theorem("sup_dp_scaled", None),
 }
 
 
@@ -246,10 +245,9 @@ def _centered(c: float, a: float, b: float) -> bool:
 
 def _run_dp(args, theorem=None) -> int:
     theorem = theorem or args.theorem
-    L = _measure_set(args)
-    iv = validate_measure_set(L)
-    phi = _terminal(args)
-    rule = SwitchRule(args.c if args.c is not None else (phi.center or 0.0), iv)
+    L, phi, rule = _statistic_inputs(args)
+    # every theorem takes them; the weights are read as their shortest decimals
+    dp_kw = {"rule": rule, "alpha": repr(args.alpha_scale), "beta": repr(args.beta_scale)}
     params = {
         "theorem": theorem, "a": args.a, "b": args.b, "c": rule.center,
         "p": getattr(args, "p", None), "q": getattr(args, "q", None),
@@ -262,20 +260,17 @@ def _run_dp(args, theorem=None) -> int:
     limit, off_center = None, False
     if spec.side is not None and args.a is not None and args.b is not None:
         # off the indicator's midpoint a switching rule has another limit
-        off_center = theorem in ("special", "tilde") and not _centered(rule.center, args.a, args.b)
+        off_center = increment(theorem).switching and not _centered(rule.center, args.a, args.b)
         if not off_center:
-            limit = IndicatorLimit(iv, args.a, args.b, spec.side).value()
+            limit = IndicatorLimit(rule.interval, args.a, args.b, spec.side).value()
     if args.n_list:
         reference = limit if args.reference is None else args.reference
         if reference is None:
             raise ConfigError("convergence table needs --reference: the closed form is the "
                               "limit only at c = (a + b)/2" if off_center else
                               "convergence table needs --reference for this theorem")
-        report = convergence_report(
-            L, phi, args.n_list, reference, variant=theorem,
-            rule=rule, alpha=repr(args.alpha_scale), beta=repr(args.beta_scale),
-            minimize=(theorem == "tilde"),
-        )
+        report = convergence_report(L, phi, args.n_list, reference, variant=theorem,
+                                    minimize=(theorem == "tilde"), **dp_kw)
         header = list(_CSV_HEADER)
         rows = [[theorem, r.n, repr(r.value), repr(report.limit_reference), repr(r.gap)]
                 for r in report.rows]
@@ -297,7 +292,8 @@ def _run_dp(args, theorem=None) -> int:
     if args.n is None:
         raise ConfigError("need --n or --n-list")
     params["n"] = args.n
-    value = spec.run(L, phi, rule, args)
+    # looked up at call time, so a function replaced on the module is the one run
+    value = getattr(worst_case, spec.operation)(L, phi, args.n, **dp_kw)
     body = {"value": float(value)}
     row = [theorem, args.n, repr(float(value)), "", ""]
     if limit is not None:
@@ -310,10 +306,7 @@ def _run_dp(args, theorem=None) -> int:
 
 
 def _run_mc(args) -> int:
-    L = _measure_set(args)
-    iv = validate_measure_set(L)
-    phi = _terminal(args)
-    rule = SwitchRule(args.c if args.c is not None else (phi.center or 0.0), iv)
+    L, phi, rule = _statistic_inputs(args)
     stock = {p.label: p for p in builtin_policies(L, rule)}
     if args.policy not in stock:
         raise ConfigError(f"unknown policy {args.policy!r}; choose from {sorted(stock)}")

@@ -161,9 +161,9 @@ def _march(
     """March v0 backward ``steps`` times, once per entry of ``eps``, as the
     columns of one Fortran-ordered (nx, k) block solved against the LDL^T
     factors ``ldl`` of the halved system of :func:`_tridiagonal`.  Returns
-    the block and a mask of the columns that kept the discrete max
-    principle; a column that breaks it stops marching, and its entries in
-    the block are meaningless."""
+    the block and a mask of the columns that kept the discrete max principle
+    after every step; every column marches to the end, and the entries of a
+    masked-out one are meaningless."""
     lo = float(np.min(v0))
     hi = float(np.max(v0))
     slack = 1e-8 * (1.0 + abs(hi) + abs(lo))
@@ -173,7 +173,7 @@ def _march(
     # right-hand side, which dpttrs overwrites with the next solution
     rhs = np.empty_like(out, order="F")
     diff = np.empty((len(v0) - 1, k), order="F") if scheme == "upwind" else None
-    active = np.arange(k)
+    ok = np.ones(k, dtype=bool)
     for _ in range(steps):
         if scheme == "centered":
             np.subtract(out[2:], out[:-2], out=rhs[1:-1])
@@ -194,16 +194,10 @@ def _march(
         rhs[-1] *= 0.5
         rhs, _ = scipy.linalg.lapack.dpttrs(*ldl, rhs, overwrite_b=True)
         out, rhs = rhs, out
-        bad = (out.min(axis=0) < lo - slack) | (out.max(axis=0) > hi + slack)
-        if bad.any():
-            active, eps, out = active[~bad], eps[~bad], np.asfortranarray(out[:, ~bad])
-            if not active.size:
-                break
-            rhs = rhs[:, :active.size]
-            diff = diff[:, :active.size] if diff is not None else None
-    block = np.empty((len(v0), k), order="F")
-    block[:, active] = out
-    return block, np.isin(np.arange(k), active)
+        ok &= ~((out.min(axis=0) < lo - slack) | (out.max(axis=0) > hi + slack))
+        if not ok.any():
+            break
+    return out, ok
 
 
 def _solve_profiles(

@@ -37,7 +37,6 @@ class TerminalFunction:
     b: float = math.nan
     h: float = math.nan
     values: tuple[float, ...] | None = None
-    center_override: float | None = None
     a_exact: Fraction | None = None
     b_exact: Fraction | None = None
 
@@ -84,19 +83,18 @@ class TerminalFunction:
         return cls("smoothed_indicator", a=af, b=bf, h=float(h))
 
     @classmethod
-    def tabulated(cls, values, center: float | None = None) -> "TerminalFunction":
-        """Values sampled on the solver grid; usable only on that grid."""
+    def tabulated(cls, values) -> "TerminalFunction":
+        """Values sampled on the solver grid; usable only on that grid.  Its
+        :attr:`center` is None."""
         vals = tuple(float(v) for v in values)
         if not vals:
             raise ValueError("tabulated terminal needs values")
-        return cls("tabulated", values=vals, center_override=center)
+        return cls("tabulated", values=vals)
 
     # -- shape metadata ----------------------------------------------------
 
     @property
     def center(self) -> float | None:
-        if self.center_override is not None:
-            return self.center_override
         if self.kind in ("indicator", "smoothed_indicator"):
             if math.isinf(self.a) or math.isinf(self.b):
                 return None
@@ -110,11 +108,7 @@ class TerminalFunction:
 
     def breakpoints(self) -> tuple[float, ...]:
         """Kink/jump locations, for adaptive quadrature."""
-        pts = []
-        for p in (self.a, self.b):
-            if p is not None and math.isfinite(p):
-                pts.append(p)
-        return tuple(pts)
+        return tuple(p for p in (self.a, self.b) if math.isfinite(p))
 
     # -- evaluation ---------------------------------------------------------
 

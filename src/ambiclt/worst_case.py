@@ -121,8 +121,9 @@ class _Route:
     ``switching`` is true when a finite switching rule picks each step's
     center; ``centers`` are then [mu_lo, mu_hi], and otherwise one per law:
     the law's mean, 0, or the mean an infinite center freezes the rule on.
-    ``weights`` are each law's probabilities as integers over ``D``, their
-    common denominator.
+    ``values`` are the outcomes of positive probability, and ``weights`` each
+    law's probabilities of them as integers over ``D``, their common
+    denominator.
     """
 
     inc: Increment
@@ -161,9 +162,12 @@ def _route(L: MeasureSet, variant: str, n: int, rule: SwitchRule | None,
             centers = [rule.mean(ExactValue.zero(s), rule.center, inc.tilde)] * len(L.laws)
     else:
         centers = inc.law_centers(L.means())
+    # only outcomes of positive probability: the laws of a set share their zeros
+    keep = [i for i, p in enumerate(L.laws[0].probs) if p]
     D = math.lcm(*(p.denominator for law in L.laws for p in law.probs))
-    weights = [[int(p * D) for p in law.probs] for law in L.laws]
-    return _Route(inc, n, s, float(iv.sigma), switching, centers, L.values, weights, D)
+    weights = [[int(law.probs[i] * D) for i in keep] for law in L.laws]
+    return _Route(inc, n, s, float(iv.sigma), switching, centers,
+                  tuple(L.values[i] for i in keep), weights, D)
 
 
 def _resolve_value_mode(value_mode: str, phi: TerminalFunction, n: int) -> bool:
@@ -494,7 +498,7 @@ def _dp_value(
         for c in dict.fromkeys(law_centers):
             laws = [pj for pj, cj in zip(weights, law_centers) if cj == c]
             terms = [(da, np.array(p, dtype=dtype)[:, None, None])
-                     for da, p in zip(grid.dx, zip(*laws)) if any(p)]
+                     for da, p in zip(grid.dx, zip(*laws))]
             groups.append((grid.dc[c], terms))
         return groups
 
@@ -745,8 +749,7 @@ def product_model_value(
         row_lands = grid._lands[m + 1][0]
         nxt = np.zeros(len(grid.rows[m + 1]), dtype=object)
         for da, p in zip(grid.dx, route.weights[j]):
-            if p:  # a move lands distinct rows on distinct rows
-                nxt[row_lands[da]] += p * P
+            nxt[row_lands[da]] += p * P  # a move lands distinct rows on distinct rows
         return m + 1, col + grid.dc[route.centers[j]], nxt
 
     def expectation(dist):
@@ -823,10 +826,6 @@ class DriftPolicy:
             return np.full(M.shape, table.get(m, default), dtype=int)
 
         return cls(fn, "table")
-
-    @classmethod
-    def from_callable(cls, fn: Callable[[int, np.ndarray, int], np.ndarray], label: str = "custom") -> "DriftPolicy":
-        return cls(fn, label)
 
 
 def builtin_policies(L: MeasureSet, rule: SwitchRule) -> list[DriftPolicy]:
@@ -966,11 +965,13 @@ def mc_policy_value(
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One horizon of a convergence report: the DP value, its gap to the
+    limit reference and the seconds the DP took."""
+
     n: int
     value: float
     gap: float
     runtime: float
-    product_value: float | None = None
 
 
 @dataclass(frozen=True)
@@ -993,11 +994,12 @@ def convergence_report(
     beta=1,
     minimize: bool = False,
     value_mode: str = "float",
-    include_product: bool = False,
     n_cap: int | None = None,
 ) -> ConvergenceReport:
     """Finite-n worst-case values against a limit, with gap monotonicity
-    flagged (not enforced: no convergence rate is asserted)."""
+    flagged (not enforced: no convergence rate is asserted).  Each horizon
+    is one :func:`_dp_value` call; product-model values at the same
+    horizons come from :func:`product_model_value`."""
     if list(n_list) != sorted(n_list) or len(set(n_list)) != len(n_list):
         raise ValueError("n_list must be strictly increasing")
     rows = []
@@ -1010,12 +1012,7 @@ def convergence_report(
             )
         )
         elapsed = time.perf_counter() - start
-        product = None
-        if include_product and not increment(variant).switching:
-            product = product_model_value(L, phi, n, variant, alpha=alpha, beta=beta)
-        rows.append(
-            ReportRow(n, value, abs(value - limit_reference), elapsed, product)
-        )
+        rows.append(ReportRow(n, value, abs(value - limit_reference), elapsed))
     gaps = [r.gap for r in rows]
     monotone = all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:]))
     return ConvergenceReport(variant, float(limit_reference), tuple(rows), monotone)

@@ -209,8 +209,8 @@ class TestShiftIdentity:
             sx = update_statistic(sx, Fraction(y) + theta, rule_x)
             sy = update_statistic(sy, y, rule_y)
             # the average term accumulates theta*m/n; deviations cancel exactly
-            assert sx.M == sy.M.add_const(theta * Fraction(sx.m, n))
-        assert sx.M == sy.M.add_const(theta)  # full shift at the horizon
+            assert sx.M == sy.M.shift(theta * Fraction(sx.m, n), 0)
+        assert sx.M == sy.M.shift(theta, 0)  # full shift at the horizon
 
 
 class TestSimulation:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from ambiclt import worst_case
 from ambiclt._exact import ExactValue
 from ambiclt.measures import DiscreteMeasure, MeasureSet, coin_example, validate_measure_set
-from ambiclt.statistics import LAW_MEAN, SwitchRule, increment
+from ambiclt.statistics import (LAW_MEAN, VARIANT_M, VARIANT_TILDE, SwitchRule, increment,
+                                statistic_trace)
 from ambiclt.terminal import TerminalFunction
 from ambiclt.worst_case import (
     VARIANTS,
@@ -637,7 +638,7 @@ class TestMonteCarlo:
         table = DriftPolicy.from_table({1: 1, 2: 0}, default=0)
         vals = simulate_statistic_values(COIN, table, "clt", 4, 100, seed=1)
         assert vals.shape == (100,)
-        custom = DriftPolicy.from_callable(lambda m, M, n: np.zeros(M.shape, dtype=int))
+        custom = DriftPolicy(lambda m, M, n: np.zeros(M.shape, dtype=int), "custom")
         vals2 = simulate_statistic_values(COIN, custom, "clt", 4, 100, seed=1)
         const = simulate_statistic_values(COIN, DriftPolicy.constant(0), "clt", 4, 100, seed=1)
         assert np.array_equal(vals2, const)
@@ -662,6 +663,25 @@ class TestDpLattice:
     def test_root_layer_is_a_single_state(self):
         lattice = dp_lattice(COIN, BOX, 3, "clt", value_mode="exact")
         assert len(lattice.layers[0]) == 1
+
+
+class TestZeroProbabilityOutcome:
+    # the coin (3/5, 2/5) gives its outcome 0 probability 0: every route
+    # sees the two laws on (1, -1), lattice included
+    TWO = MeasureSet((DiscreteMeasure((1, -1), ("3/5", "2/5")),
+                      DiscreteMeasure((1, -1), ("2/5", "3/5"))))
+
+    @pytest.mark.parametrize("variant", ["special", "tilde", "clt", "lln"])
+    def test_coin_equals_the_two_outcome_set(self, variant):
+        results = []
+        for L in (coin_example("3/5", "2/5"), self.TWO):
+            kw = _variant_kwargs(variant, SwitchRule(0.0, validate_measure_set(L)))
+            results.append((
+                worst_case._dp_value(L, BOX, 12, variant, value_mode="exact", **kw),
+                enumerate_worst_case(L, BOX, 6, variant, **kw),
+                dp_lattice(L, BOX, 8, variant, value_mode="exact", **kw),
+            ))
+        assert results[0] == results[1]
 
 
 class TestShiftEquivariance:
@@ -697,6 +717,77 @@ class TestShiftEquivariance:
             want = _dp_value(COIN, BOX, n, variant, **kw)
             got = _dp_value(COIN.shifted(t), box, n, variant, **kw)
             assert (type(got), got) == (type(want), want), mode
+
+
+# the float routes under a shift: the two sets' roundings may break a near
+# tie differently, after which a path's two traces part ways
+NEAR_TIE = 1e-9  # |unshifted M_{m-1} - threshold(m, n)| of a near tie
+SHIFT_TOL = 1e-9  # |shifted M_n - (M_n + t)| on a path that chose alike
+
+
+def _check_shifted_choices(M_prev, thresholds, upper, upper_shifted, end, end_shifted, t):
+    """Each path, one column of the (n, paths) arrays of unshifted M_{m-1}
+    and of each set's choice of the upper mean at step m, must choose alike
+    up to a near tie; a path that chose alike at every step ends t higher.
+    Returns the count of such paths."""
+    differ = upper != upper_shifted
+    for path in np.flatnonzero(differ.any(axis=0)):
+        m = differ[:, path].argmax()  # the first step at which the choices differ
+        assert abs(M_prev[m, path] - thresholds[m]) <= NEAR_TIE, (m, path)
+    alike = ~differ.any(axis=0)
+    np.testing.assert_allclose(end_shifted[alike] - end[alike], float(t), rtol=0, atol=SHIFT_TOL)
+    return int(alike.sum())
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 5), Fraction(-7, 3)])
+@pytest.mark.parametrize("c", [Fraction(0), Fraction(17, 100)])
+class TestFloatShiftEquivariance:
+    # the coin and the coin moved by t, with the rule centered at c and at
+    # c + t: M_m moves by m*t/n and each threshold with it, in exact terms.
+    # At c = 0 every path starts on a tie, M_0 = 0 = threshold(1, n), so
+    # it may part at step 1; at c = 17/100 most paths must choose alike.
+    def rules(self, c, t):
+        shifted = COIN.shifted(t)
+        rule_t = SwitchRule(c + t, validate_measure_set(shifted))
+        return (COIN, SwitchRule(c, IV)), (shifted, rule_t)
+
+    @pytest.mark.parametrize("variant", [VARIANT_M, VARIANT_TILDE])
+    def test_fold_chooses_alike_on_a_shifted_path(self, variant, c, t):
+        (_, rule), (_, rule_t) = self.rules(c, t)
+        rng = np.random.default_rng(3)
+        n, alike = 40, 0
+        thresholds = np.array([rule.threshold(m, n) for m in range(1, n + 1)])
+        for _ in range(25):
+            xs = [COIN.values[i] for i in rng.integers(3, size=n)]
+            traces = [np.array(statistic_trace(path, n, r, variant))
+                      for path, r in ((xs, rule), ([x + t for x in xs], rule_t))]
+            (_, mu, M), (_, mu_t, M_t) = (trace.T for trace in traces)
+            alike += _check_shifted_choices(
+                np.concatenate(([0.0], M[:-1]))[:, None], thresholds,
+                (mu == rule.mean_pair()[1])[:, None], (mu_t == rule_t.mean_pair()[1])[:, None],
+                M[-1:], M_t[-1:], t)
+        assert alike >= 20 or c == 0
+
+    @pytest.mark.parametrize("variant", ["special", "tilde"])
+    def test_monte_carlo_chooses_alike_on_the_same_draws(self, variant, c, t):
+        n, paths = 30, 400
+        runs = []
+        for L, rule in self.rules(c, t):
+            seen = []
+
+            def record(m, M, n):
+                seen.append(M.copy())
+                return np.zeros(M.shape, dtype=int)
+
+            end = simulate_statistic_values(L, DriftPolicy(record, "constant[0], recorded"),
+                                            variant, n, paths, seed=9, rule=rule)
+            M_prev = np.array(seen)
+            thresholds = np.array([rule.threshold(m, n) for m in range(1, n + 1)])
+            upper = rule.upper(M_prev, thresholds[:, None], variant == "tilde")
+            runs.append((M_prev, thresholds, upper, end))
+        (M_prev, thresholds, upper, end), (_, _, upper_t, end_t) = runs
+        alike = _check_shifted_choices(M_prev, thresholds, upper, upper_t, end, end_t, t)
+        assert alike >= paths * 4 // 5 or c == 0
 
 
 def dict_band_probability(L, n, m, delta, rule):
@@ -889,8 +980,3 @@ class TestConvergenceReport:
                     product = product_model_value(L, BOX, n, variant, **kw)
                     sup = sups[variant](L, BOX, n, value_mode="exact", **kw)
                     assert product <= float(sup), (variant, n)
-
-    def test_report_can_carry_the_product_column(self):
-        report = convergence_report(COIN, BOX, [4, 6], 0.77, variant="clt",
-                                    include_product=True)
-        assert all(r.product_value is not None for r in report.rows)

@@ -17,13 +17,15 @@ chunk of 7 paths), the statistics fold (``path_statistic`` exact and float,
 ``statistic_trace`` and ``residual_statistic`` on seeded paths),
 ``enumerate_worst_case`` for every variant at n <= 6 with switching centers
 0, 0.17 and +/-inf, ``size_power_simulation``, ``epsilon_extrapolate`` at
-kappa 0, 0.3 and 0.6, PDE profiles, and the ``ambiclt mc`` and ``ambiclt pde``
-payloads, ``ambiclt dp`` with one or both endpoints included.  Two digests
+kappa 0, 0.3 and 0.6, PDE profiles, and the CLI payloads: ``ambiclt mc``,
+``pde``, ``closed-form`` (upper, lower, one-sided), ``hyptest`` (calibration
+alone and with ``--paths``), and ``dp`` and ``lln`` with one or both
+endpoints, single-n and ``--n-list`` tables, JSON and CSV.  Two digests
 cover the dynamic program further: ``dp_layers``, the per-state tables of
 ``dp_lattice`` (every layer's keys and values, and its count of exact
 tests) at n = 5 and 12, and ``dp_float_long``, float ``special`` and
 ``tilde`` values at n = 40 and 64 with switching centers 0 and 0.17.  It
-takes about a minute and a half on one core.
+takes about a minute and three quarters on one core.
 """
 
 from __future__ import annotations
@@ -96,6 +98,26 @@ CLI_RUNS = (
      "--h", "0.1", "--n", "12"],
     ["dp", "--theorem", "lln", "--p", "0.6", "--q", "0.3", "--a", "0.1", "--h", "0.1",
      "--n", "12"],
+    ["dp", "--theorem", "special", "--p", "0.6", "--q", "0.3", "--a", "-1", "--b", "1",
+     "--n", "8", "--format", "csv"],
+    ["dp", "--theorem", "tilde", "--p", "0.6", "--q", "0.3", "--a", "-1", "--b", "1",
+     "--c", "0.2", "--n-list", "4", "8", "--reference", "0.3"],
+    ["dp", "--theorem", "scaled", "--p", "0.6", "--q", "0.3", "--a", "-1", "--b", "1",
+     "--alpha-scale", "0.5", "--beta-scale", "2", "--n-list", "4", "8", "--reference",
+     "0.5", "--format", "csv"],
+    ["dp", "--theorem", "special", "--p", "0.6", "--q", "0.4", "--a", "-1", "--b", "1",
+     "--n", "12"],
+    ["lln", "--p", "0.6", "--q", "0.3", "--a", "0.1", "--b", "0.5", "--n", "16"],
+    ["lln", "--p", "0.6", "--q", "0.3", "--a", "0.1", "--n-list", "4", "8",
+     "--reference", "0.9", "--format", "csv"],
+    ["closed-form", "--mu-lo", "-0.3", "--mu-hi", "0.3", "--a", "-1", "--b", "1"],
+    ["closed-form", "--mu-lo", "-0.3", "--mu-hi", "0.3", "--a", "-1", "--b", "1",
+     "--side", "lower"],
+    ["closed-form", "--mu-lo", "-0.3", "--mu-hi", "0.5", "--b", "0.5"],
+    ["closed-form", "--mu-lo", "-0.3", "--mu-hi", "0.5", "--a", "-0.5", "--side", "lower"],
+    ["hyptest", "--kappa", "0.3", "--alpha", "0.05", "--xi", "0.5"],
+    ["hyptest", "--kappa", "0.3", "--sigma", "0.9", "--theta0", "1", "--xi", "0.2",
+     "--n", "50", "--paths", "4000", "--seed", "4"],
     ["pde", "--kappa", "0", "--a", "-1", "--b", "1", "--nx", "401", "--nt", "400"],
     ["pde", "--kappa", "0.3", "--a", "-1", "--b", "1", "--nx", "401", "--nt", "400"],
 )
