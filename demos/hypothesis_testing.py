@@ -3,9 +3,9 @@
 Observations are x_i = theta + y_i with error means anywhere in
 [-kappa, kappa] and known variance.  The acceptance interval is calibrated
 so the worst-case limiting coverage is 1 - alpha; this script shows how the
-interval responds to ambiguity, traces the wrong-acceptance curve, improves
-the interval for a known alternative, and simulates finite-sample size and
-power under adversarial drift policies.
+interval responds to ambiguity, traces the wrong-acceptance curve, picks the
+optimal (one-sided) interval for a known alternative, and simulates
+finite-sample size and power under adversarial drift policies.
 """
 
 import numpy as np
@@ -47,9 +47,9 @@ a_sym, b_sym = calibrate_interval(spec1)
 a_opt, b_opt, obj = optimize_ab(spec1, 1.0)
 print(f"  symmetric choice [{a_sym:.3f}, {b_sym:.3f}]: wrong acceptance "
       f"{wrong_acceptance(spec1, a_sym, b_sym, 1.0):.6f}")
-print(f"  optimized  [{a_opt:.3f}, {b_opt:.3f}]: wrong acceptance {obj:.6f}")
-print("  (the optimum slides the interval away from the alternative; the")
-print("   coverage constraint stays active)\n")
+print(f"  optimal    [{a_opt:.3f}, {b_opt:.3f}]: wrong acceptance {obj:.6f}")
+print("  (the optimum is the one-sided test (-inf, z_(1-alpha) - kappa], of")
+print("   wrong acceptance Phi(z_(1-alpha) - xi) whatever kappa is)\n")
 
 print("decision rule on the acceptance region [M_n - b, M_n - a]:")
 for m_n, theta in [(0.3, ThetaSet.point(0.0)),

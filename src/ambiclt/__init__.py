@@ -33,18 +33,11 @@ from .measures import (
 from .statistics import (
     VARIANT_M,
     VARIANT_TILDE,
-    HorizonExceeded,
     LengthMismatch,
-    StatState,
     SwitchRule,
     condition1_diagnostic,
-    initial_state,
-    initial_state_exact,
     path_statistic,
     statistic_trace,
-    step_mu,
-    step_mu_tilde,
-    update_statistic,
 )
 from .closed_form import (
     BadInterval,

@@ -8,14 +8,15 @@ null is accepted iff C_n meets the hypothesized parameter set.  Because the
 limit is a worst case over laws, the coverage guarantee is one-sided: the
 chance of wrongly rejecting can exceed alpha, and the closed form for the
 upper probability of wrongly accepting under an offset xi is the same
-indicator limit evaluated at [a - xi, b - xi], which also drives the
-interval-selection program minimized here.
+indicator limit evaluated at [a - xi, b - xi].  Among intervals of coverage
+1 - alpha, the one-sided test minimizes it (:func:`optimize_ab`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist as _NormalDist  # the standard library's, not ambiclt's
 from typing import Sequence
 
 import numpy as np
@@ -125,62 +126,45 @@ def wrong_acceptance(spec: TestSpec, a: float, b: float, xi: float) -> float:
 
 
 def optimize_ab(spec: TestSpec, xi: float) -> tuple[float, float, float]:
-    """Minimize the wrong-acceptance probability at offset xi over intervals
-    meeting the coverage constraint.
+    """The interval of worst-case coverage 1 - alpha with the least
+    wrong-acceptance probability at offset xi, and that probability.
 
-    The constraint binds at any optimum (shrinking the interval lowers both
-    sides), so the search runs over the one-parameter family a -> b(a) with
-    b solved from coverage = 1 - alpha, on a grid followed by golden-section
-    refinement to 1e-6 in a.  The optimum may sit at the sweep boundary
-    (one-sided intervals are the limit of the family).
+    It is the one-sided test.  With z = z_{1-alpha} the standard normal
+    quantile, xi > 0 gives (-inf, z - kappa] and xi < 0 its mirror
+    [kappa - z, inf), both of value Phi(z - |xi|), whatever kappa is.
+
+    Proof for xi > 0, in the limit model X = W_1 + int_0^1 theta_t dt over
+    adapted drifts |theta| <= kappa.  Take any interval I of worst-case
+    coverage 1 - alpha and a drift theta* whose coverage comes within eps of
+    it.  Let theta' apply theta* to the moved path X~_t = X_t + xi*t; under
+    theta', X~ follows theta* plus the drift xi.  By Girsanov, with Q the
+    law under which W~_t = W_t + xi*t is a Brownian motion, X~ follows
+    theta* under Q, and
+
+        P_theta'(X in I - xi) = E_Q[exp(xi*W~_1 - xi^2/2); X~ in I],
+        Q(X~ in I) >= 1 - alpha - eps.
+
+    The weight rises in W~_1 ~ N(0, 1), so by Neyman-Pearson the event
+    {W~_1 <= z_{1-alpha-eps}} makes the expectation least, at
+    Phi(z_{1-alpha-eps} - xi).  The wrong acceptance of I, a worst case
+    over drifts, is thus at least Phi(z - xi) as eps -> 0.  The one-sided
+    interval attains it: the drift -kappa is worst for both its coverage
+    Phi(z) and its wrong acceptance Phi(z - xi).  xi < 0 is the mirror image
+    x -> -x.  At kappa = 0 this is the classical one-sided test; least
+    favourable pairs (Huber and Strassen, Ann. Statist. 1973) are the
+    general setting.
     """
     if xi == 0:
         raise ValueError("xi must be nonzero; at xi = 0 the objective is flat")
     kappa = spec.kappa
     target = 1.0 - spec.alpha
-    a_floor = -(20.0 + 10.0 * kappa)
-    a_ceil = 20.0 + 10.0 * kappa
-
-    # feasibility boundary: right-tail coverage cap must stay above 1 - alpha
-    def cap(a: float) -> float:
-        return one_sided_limit(interval(-kappa, kappa), a, "right_tail", "upper")
-
-    if cap(a_ceil) < target:
-        a_hi = _bisect(lambda t: target - cap(t), a_floor, a_ceil, 0.0)
-    else:
-        a_hi = a_ceil
-    a_hi -= 1e-6 * (1.0 + abs(a_hi))
-
-    def objective(a: float) -> float:
-        _, b = calibrate_interval(spec, symmetric=False, a=a)
-        return wrong_acceptance(spec, a, b, xi)
-
-    grid = np.linspace(a_floor, a_hi, 201)
-    vals = [objective(float(a)) for a in grid]
-    k = int(np.argmin(vals))
-    lo = grid[max(0, k - 1)]
-    hi = grid[min(len(grid) - 1, k + 1)]
-    phi_ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - phi_ratio * (hi - lo)
-    x2 = lo + phi_ratio * (hi - lo)
-    f1, f2 = objective(float(x1)), objective(float(x2))
-    while hi - lo > 1e-6:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi_ratio * (hi - lo)
-            f1 = objective(float(x1))
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi_ratio * (hi - lo)
-            f2 = objective(float(x2))
-    best_a = float(0.5 * (lo + hi))
-    _, best_b = calibrate_interval(spec, symmetric=False, a=best_a)
-    best_val = wrong_acceptance(spec, best_a, best_b, xi)
-    # the coverage constraint must bind at the returned point
-    resid = abs(_coverage(kappa, best_a, best_b) - target)
+    edge = _NormalDist().inv_cdf(target) - kappa
+    a, b = (-math.inf, edge) if xi > 0 else (-edge, math.inf)
+    # the coverage constraint must bind at the returned interval
+    resid = abs(_coverage(kappa, a, b) - target)
     if resid > CALIBRATION_TOL:
         raise NoConvergence(f"coverage residual {resid:.3g} at the optimum exceeds tolerance")
-    return best_a, best_b, best_val
+    return a, b, wrong_acceptance(spec, a, b, xi)
 
 
 @dataclass(frozen=True)

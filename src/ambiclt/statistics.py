@@ -8,8 +8,9 @@ where each centering mean mu_i is chosen between the interval extremes by a
 threshold test on the previous value: the M-rule picks the upper mean when
 M_{m-1} <= threshold(m), the M-tilde rule when M_tilde_{m-1} >= threshold(m),
 with boundary ties going to the upper mean in both.  The threshold at step m
-is -((mu_upper+mu_lower)/2)*(1-(m-1)/n) + c for a center parameter c; the
-sentinels c = +/-inf freeze the rule at a constant mean.
+is -((mu_upper+mu_lower)/2)*(1-(m-1)/n) + c for a center parameter c, a
+rational that float arithmetic reads correctly rounded; the sentinels
+c = +/-inf freeze the rule at a constant mean.
 
 Every route that evaluates a statistic -- this fold, the worst-case dynamic
 program, its enumeration oracle, the product model and Monte Carlo -- takes
@@ -23,15 +24,16 @@ indicator evaluations are free of rounding and path enumeration merges
 states exactly.
 
 :func:`path_statistic` and :func:`statistic_trace` fold a whole path in one
-loop.  The float fold takes the same steps as :func:`update_statistic`.  The
-exact fold carries only the outcome sum, as an integer numerator over the
-path's common denominator, and the count of upper-mean steps; every step
-decides the rule on the float value of that state against the correctly
-rounded threshold, and only a step whose float value lies within
+loop.  The float fold adds one step per observation to the float value,
+the drift term first (:meth:`Increment.advance`).  The exact fold carries
+only the outcome sum, as an integer numerator over the path's common
+denominator, and the count of upper-mean steps; every step decides the
+rule on the float value of that state against the correctly rounded
+threshold, and only a step whose float value lies within
 :data:`ambiclt._exact.FILTER_MARGIN` of the threshold, relative to the
 magnitudes summed, builds an ExactValue for the exact test.  The result is
-built once, at the end, and equals the chain of :func:`update_statistic`
-calls as Fractions.
+built once, at the end, and equals the statistic summed step by step in
+exact arithmetic.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,10 +53,6 @@ from .measures import AmbiguityInterval, MeasureSet
 VARIANT_M = "M"
 VARIANT_TILDE = "M-tilde"
 _VARIANTS = (VARIANT_M, VARIANT_TILDE)
-
-
-class HorizonExceeded(ValueError):
-    """Attempted to update a statistic already at its horizon."""
 
 
 class LengthMismatch(ValueError):
@@ -84,16 +82,12 @@ class SwitchRule:
         lo, hi = self._exact_means
         return (lo + hi) / 2, to_fraction(self.center)
 
-    @cached_property
-    def _float_mid_and_center(self) -> tuple[float, float]:
-        return self.interval.center, float(self.center)
-
     def threshold(self, m: int, n: int) -> float:
-        """Threshold compared against M_{m-1} when choosing mu_m."""
-        if math.isinf(self.center):
-            return self.center
-        mid, center = self._float_mid_and_center
-        return -mid * (1.0 - (m - 1) / n) + center
+        """Threshold compared against M_{m-1} when choosing mu_m: the
+        correctly rounded :meth:`threshold_exact`."""
+        if not 1 <= m <= n:
+            raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+        return self._thresholds(n)[1][m - 1]
 
     def threshold_exact(self, m: int, n: int) -> Fraction | float:
         """The threshold as a Fraction; the sentinel centers return +/-inf."""
@@ -104,9 +98,16 @@ class SwitchRule:
 
     def _thresholds(self, n: int) -> tuple[tuple, tuple[float, ...]]:
         """:meth:`threshold_exact` for m = 1..n, and each correctly rounded to
-        a float; cached."""
-        key = self.center if math.isinf(self.center) else self._exact_mid_and_center
-        return _threshold_table(key, self, n)
+        a float; kept on the rule, one table per horizon."""
+        table = self._tables.get(n)
+        if table is None:
+            exact = tuple(self.threshold_exact(m, n) for m in range(1, n + 1))
+            table = self._tables[n] = exact, tuple(map(float, exact))
+        return table
+
+    @cached_property
+    def _tables(self) -> dict[int, tuple[tuple, tuple[float, ...]]]:
+        return {}
 
     def upper(self, M, threshold, tilde: bool = False):
         """Whether mu_m is the upper mean, given M_{m-1} and the step's
@@ -131,15 +132,6 @@ class SwitchRule:
         hit = self.upper(M, threshold, tilde)
         lo, hi = self.exact_mean_pair() if isinstance(M, ExactValue) else self.mean_pair()
         return np.where(hit, hi, lo) if isinstance(hit, np.ndarray) else (hi if hit else lo)
-
-
-# The key holds the rule's exact mid-point and center besides the rule: rules
-# that compare equal may hold a float and a Fraction of one value, which
-# to_fraction reads as different rationals.
-@lru_cache(maxsize=16)
-def _threshold_table(key, rule: SwitchRule, n: int) -> tuple[tuple, tuple[float, ...]]:
-    exact = tuple(rule.threshold_exact(m, n) for m in range(1, n + 1))
-    return exact, tuple(map(float, exact))
 
 
 LAW_MEAN = "law"
@@ -219,85 +211,6 @@ def increment(variant: str, alpha=1, beta=1) -> Increment:
     return INCREMENTS[variant]
 
 
-@dataclass(frozen=True)
-class StatState:
-    """Statistic value after m of n steps."""
-
-    m: int
-    n: int
-    M: Union[float, ExactValue]
-    variant: str = VARIANT_M
-
-    def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if not 0 <= self.m <= self.n:
-            raise ValueError("need 0 <= m <= n")
-        if self.m == 0:
-            zero = self.M.cmp(0) == 0 if isinstance(self.M, ExactValue) else self.M == 0
-            if not zero:
-                raise ValueError("the statistic starts at 0")
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.M, ExactValue)
-
-    def value(self) -> float:
-        return float(self.M)
-
-
-def initial_state(n: int, variant: str = VARIANT_M) -> StatState:
-    return StatState(0, n, 0.0, variant)
-
-
-def initial_state_exact(n: int, interval: AmbiguityInterval, variant: str = VARIANT_M) -> StatState:
-    """Start an exact run; requires the interval's exact variance."""
-    scale = Fraction(n) * interval.variance_exact()
-    return StatState(0, n, ExactValue.zero(scale), variant)
-
-
-def _center(state: StatState, rule: SwitchRule):
-    """mu_{m+1} for the state's variant, in the state's arithmetic."""
-    m_next = state.m + 1
-    if state.exact:
-        threshold = rule.threshold_exact(m_next, state.n)
-    else:
-        threshold = rule.threshold(m_next, state.n)
-    return rule.mean(state.M, threshold, tilde=state.variant == VARIANT_TILDE)
-
-
-def step_mu(state: StatState, rule: SwitchRule):
-    """Mean chosen for step m+1 under the M-rule (ties go to the upper mean)."""
-    if state.variant != VARIANT_M:
-        raise ValueError("step_mu applies to the M variant")
-    if state.m >= state.n:
-        raise HorizonExceeded("no step left to choose a mean for")
-    return _center(state, rule)
-
-
-def step_mu_tilde(state: StatState, rule: SwitchRule):
-    """Mean chosen for step m+1 under the M-tilde rule (ties to the upper mean)."""
-    if state.variant != VARIANT_TILDE:
-        raise ValueError("step_mu_tilde applies to the M-tilde variant")
-    if state.m >= state.n:
-        raise HorizonExceeded("no step left to choose a mean for")
-    return _center(state, rule)
-
-
-def update_statistic(state: StatState, x, rule: SwitchRule) -> StatState:
-    """Advance one observation: M += x/n + (x - mu)/(sigma*sqrt(n))."""
-    if state.m >= state.n:
-        raise HorizonExceeded(f"horizon n={state.n} already reached")
-    mu = _center(state, rule)
-    inc = _FOLD_INCREMENT[state.variant]
-    n = state.n
-    if state.exact:
-        new = state.M.shift(*inc.exact(to_fraction(x), mu, n))
-    else:
-        new = inc.advance(state.M, _as_float(x), mu, n, float(rule.interval.sigma))
-    return StatState(state.m + 1, n, new, state.variant)
-
-
 def _check_path(xs: Sequence, n: int, variant: str) -> Increment:
     """The variant's step, once the path and the variant are checked."""
     if len(xs) != n:
@@ -317,13 +230,13 @@ def _as_float(x) -> float:
 
 
 def _fold_float(xs: Sequence, n: int, rule: SwitchRule, inc: Increment):
-    """(mu_m, M_m) for m = 1..n, in the float steps of update_statistic."""
+    """(mu_m, M_m) for m = 1..n, one float step per observation."""
     lo, hi = rule.mean_pair()
     sigma = float(rule.interval.sigma)
     xs = list(map(_as_float, xs))
     M = 0.0
-    for m, x in enumerate(xs, 1):
-        mu = hi if rule.upper(M, rule.threshold(m, n), inc.tilde) else lo
+    for x, threshold in zip(xs, rule._thresholds(n)[1]):
+        mu = hi if rule.upper(M, threshold, inc.tilde) else lo
         M = inc.advance(M, x, mu, n, sigma)
         yield mu, M
 
@@ -402,14 +315,6 @@ def read_path_csv(path) -> list[float]:
                 raise ValueError(f"line {reader.line_num}: {row[0]!r} is not a finite number")
             out.append(x)
     return out
-
-
-def write_trace_csv(rows: Iterable[tuple[int, float, float]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["m", "mu_m", "M_m"])
-        for m, mu, value in rows:
-            writer.writerow([m, repr(mu), repr(value)])
 
 
 def condition1_diagnostic(

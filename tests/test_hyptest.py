@@ -1,4 +1,5 @@
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from ambiclt.measures import (
     interval,
     validate_measure_set,
 )
-from ambiclt.statistics import SwitchRule, initial_state_exact, step_mu, update_statistic
+from ambiclt.statistics import SwitchRule
 from ambiclt.worst_case import builtin_policies
+from stepwise import initial_state_exact, step_mu, update_statistic
 
 SPEC0 = HypSpec(kappa=0.0, sigma=1.0, alpha=0.05)
 
@@ -119,17 +121,23 @@ class TestOptimizeAb:
         _, _, best = optimize_ab(spec, 1.0)
         assert best <= wrong_acceptance(spec, a_sym, b_sym, 1.0) + 1e-12
 
-    def test_matches_grid_search_oracle(self):
-        spec = HypSpec(kappa=0.0, sigma=1.0, alpha=0.05, xi=1.0)
-        _, _, best = optimize_ab(spec, 1.0)
+    @pytest.mark.parametrize("xi", [-1.0, 0.01, 1.0])
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.3])
+    @pytest.mark.parametrize("kappa", [0.0, 0.3, 1.0, 3.0])
+    def test_matches_grid_search_oracle(self, kappa, alpha, xi):
+        # the oracle calibrates b for each left endpoint a on a grid that runs
+        # past the largest feasible a, and keeps the least wrong acceptance
+        spec = HypSpec(kappa=kappa, sigma=1.0, alpha=alpha, xi=xi)
+        a, b, best = optimize_ab(spec, xi)
         grid_vals = []
-        for a in np.linspace(-20.0, 0.5, 120):
+        for left in np.linspace(-10.0 - kappa, kappa + 1.0, 60):
             try:
-                aa, bb = calibrate_interval(spec, symmetric=False, a=float(a))
+                aa, bb = calibrate_interval(spec, symmetric=False, a=float(left))
             except Infeasible:
                 continue
-            grid_vals.append(wrong_acceptance(spec, aa, bb, 1.0))
-        assert best <= min(grid_vals) + 1e-9
+            grid_vals.append(wrong_acceptance(spec, aa, bb, xi))
+        assert best <= min(grid_vals) + 1e-12
+        assert (a if xi > 0 else b) == (-np.inf if xi > 0 else np.inf)
 
     def test_positive_offset_shifts_away(self):
         # optimal interval sits left of the symmetric one when xi > 0
@@ -154,10 +162,9 @@ class TestOptimizeAb:
         assert cov == pytest.approx(0.9, abs=1e-9)
 
     def test_missed_coverage_constraint_raises(self, monkeypatch):
-        # a calibration that returns a fixed-width interval misses the
-        # coverage target; the check must survive python -O
-        monkeypatch.setattr(hyptest, "calibrate_interval",
-                            lambda spec, symmetric=True, a=None: (a, a + 3.0))
+        # a normal quantile that is off by 0.1 misses the coverage target;
+        # the check must survive python -O
+        monkeypatch.setattr(hyptest, "_NormalDist", lambda: NormalDist(0.1, 1.0))
         with pytest.raises(NoConvergence):
             optimize_ab(HypSpec(kappa=0.3, sigma=1.0, alpha=0.1, xi=0.8), 0.8)
 

@@ -12,16 +12,18 @@ from ambiclt.measures import coin_example, interval, validate_measure_set
 from ambiclt.statistics import (
     VARIANT_M,
     VARIANT_TILDE,
-    HorizonExceeded,
     LengthMismatch,
-    StatState,
     SwitchRule,
     condition1_diagnostic,
-    initial_state,
-    initial_state_exact,
     path_statistic,
     read_path_csv,
     statistic_trace,
+)
+from stepwise import (
+    HorizonExceeded,
+    StatState,
+    initial_state,
+    initial_state_exact,
     step_mu,
     step_mu_tilde,
     update_statistic,
@@ -44,6 +46,20 @@ class TestSwitchRule:
     def test_infinite_center(self):
         rule = SwitchRule(math.inf, IV)
         assert rule.threshold(3, 7) == math.inf
+
+    @pytest.mark.parametrize("m", [0, 8])
+    def test_step_outside_the_horizon(self, m):
+        with pytest.raises(ValueError, match="need 1 <= m <= n"):
+            RULE.threshold(m, 7)
+
+    def test_correctly_rounded(self):
+        # the coin moved by -7/3 and centered at -7/3: the exact threshold at
+        # step 1 is 0, where -mid*(1 - (m-1)/n) + c in floats gives -4.4e-16
+        shifted = COIN.shifted(Fraction(-7, 3))
+        rule = SwitchRule(Fraction(-7, 3), validate_measure_set(shifted))
+        for n in (1, 24, 40):
+            for m in range(1, n + 1):
+                assert rule.threshold(m, n) == float(rule.threshold_exact(m, n))
 
 
 class TestChooserAgreement:

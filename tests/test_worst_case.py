@@ -744,8 +744,10 @@ def _check_shifted_choices(M_prev, thresholds, upper, upper_shifted, end, end_sh
 class TestFloatShiftEquivariance:
     # the coin and the coin moved by t, with the rule centered at c and at
     # c + t: M_m moves by m*t/n and each threshold with it, in exact terms.
-    # At c = 0 every path starts on a tie, M_0 = 0 = threshold(1, n), so
-    # it may part at step 1; at c = 17/100 most paths must choose alike.
+    # At c = 0 every path starts on a tie, M_0 = 0 = threshold(1, n), which
+    # both sets' correctly rounded thresholds break alike; a path may land
+    # on the threshold 0 again later, so there only half the paths must
+    # choose alike, and at c = 17/100 most paths must.
     def rules(self, c, t):
         shifted = COIN.shifted(t)
         rule_t = SwitchRule(c + t, validate_measure_set(shifted))
@@ -766,7 +768,7 @@ class TestFloatShiftEquivariance:
                 np.concatenate(([0.0], M[:-1]))[:, None], thresholds,
                 (mu == rule.mean_pair()[1])[:, None], (mu_t == rule_t.mean_pair()[1])[:, None],
                 M[-1:], M_t[-1:], t)
-        assert alike >= 20 or c == 0
+        assert alike >= (20 if c else 13)
 
     @pytest.mark.parametrize("variant", ["special", "tilde"])
     def test_monte_carlo_chooses_alike_on_the_same_draws(self, variant, c, t):
@@ -787,7 +789,7 @@ class TestFloatShiftEquivariance:
             runs.append((M_prev, thresholds, upper, end))
         (M_prev, thresholds, upper, end), (_, _, upper_t, end_t) = runs
         alike = _check_shifted_choices(M_prev, thresholds, upper, upper_t, end, end_t, t)
-        assert alike >= paths * 4 // 5 or c == 0
+        assert alike >= (paths * 4 // 5 if c else paths // 2)
 
 
 def dict_band_probability(L, n, m, delta, rule):

@@ -16,7 +16,9 @@ alpha, beta != 1, every builtin policy, with the default chunk and with a
 chunk of 7 paths), the statistics fold (``path_statistic`` exact and float,
 ``statistic_trace`` and ``residual_statistic`` on seeded paths),
 ``enumerate_worst_case`` for every variant at n <= 6 with switching centers
-0, 0.17 and +/-inf, ``size_power_simulation``, ``epsilon_extrapolate`` at
+0, 0.17 and +/-inf, ``size_power_simulation``, ``optimize_ab`` (the optimal
+interval and its value at kappa 0, 0.3 and 0.6, alpha 0.01 and 0.05, and
+offsets -1, 0.5 and 2; ``hyptest_optimize``), ``epsilon_extrapolate`` at
 kappa 0, 0.3 and 0.6, PDE profiles, and the CLI payloads: ``ambiclt mc``,
 ``pde``, ``closed-form`` (upper, lower, one-sided), ``hyptest`` (calibration
 alone and with ``--paths``), and ``dp`` and ``lln`` with one or both
@@ -260,7 +262,7 @@ def main() -> int:
         "dp_exact", "dp_float", "product_model_value", "band_probability_sup",
         "simulate_statistic_values", "mc_policy_value", "size_power_simulation",
         "epsilon_extrapolate", "pde_profiles", "cli_payloads", "fold", "oracle",
-        "dp_layers", "dp_float_long")}
+        "dp_layers", "dp_float_long", "hyptest_optimize")}
     dynamic_program(digests["dp_exact"], digests["dp_float"],
                     digests["product_model_value"], digests["band_probability_sup"])
     dp_layers(digests["dp_layers"])
@@ -274,6 +276,11 @@ def main() -> int:
         for a, b in ((-1.0, 1.0), (-0.5, 1.5)):
             rate = hyptest.size_power_simulation(COIN, spec, a, b, theta, 30, 5000, 11)
             digests["size_power_simulation"].update(np.array(rate).tobytes())
+    for kappa in (0.0, 0.3, 0.6):
+        for alpha in (0.01, 0.05):
+            for xi in (-1.0, 0.5, 2.0):
+                digests["hyptest_optimize"].update(
+                    repr(hyptest.optimize_ab(hyptest.TestSpec(kappa, 1.0, alpha), xi)).encode())
 
     default, small = pde.PdeGrid.default(), pde.PdeGrid(-10.0, 10.0, 401, 400)
     runs = [(TerminalFunction.smoothed_indicator(-1, 1, 0.05), kappa, default,
