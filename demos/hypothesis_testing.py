@@ -42,7 +42,7 @@ for xi in (0.0, 0.5, 1.0, 2.0, 3.0):
     print(f"  xi={xi:3.1f}: {wrong_acceptance(spec, a, b, xi):.6f}")
 
 print("\ninterval selection against a known alternative xi = 1:")
-spec1 = TestSpec(kappa=0.0, sigma=1.0, alpha=0.05, xi=1.0)
+spec1 = TestSpec(kappa=0.0, sigma=1.0, alpha=0.05)
 a_sym, b_sym = calibrate_interval(spec1)
 a_opt, b_opt, obj = optimize_ab(spec1, 1.0)
 print(f"  symmetric choice [{a_sym:.3f}, {b_sym:.3f}]: wrong acceptance "
@@ -52,10 +52,9 @@ print("  (the optimum is the one-sided test (-inf, z_(1-alpha) - kappa], of")
 print("   wrong acceptance Phi(z_(1-alpha) - xi) whatever kappa is)\n")
 
 print("decision rule on the acceptance region [M_n - b, M_n - a]:")
-for m_n, theta in [(0.3, ThetaSet.point(0.0)),
-                   (2.5, ThetaSet.point(0.0)),
-                   (2.5, ThetaSet.closed_interval(0.0, 1.0))]:
-    kind = theta.kind
+for m_n, kind, theta in [(0.3, "point", ThetaSet.point(0.0)),
+                         (2.5, "point", ThetaSet.point(0.0)),
+                         (2.5, "interval", ThetaSet.closed_interval(0.0, 1.0))]:
     print(f"  M_n={m_n:4.1f}, theta set {kind:8s}: "
           f"{test_decision(m_n, a_sym, b_sym, theta)}")
 

@@ -42,7 +42,6 @@ from .statistics import (
 from .closed_form import (
     BadInterval,
     BadTime,
-    IndicatorLimit,
     lower_indicator_limit,
     normal_cdf,
     one_sided_limit,

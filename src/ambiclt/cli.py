@@ -29,8 +29,8 @@ from typing import NamedTuple
 from . import __version__, worst_case
 from ._exact import to_fraction
 from .closed_form import (
-    IndicatorLimit,
     indicator_limit_detail,
+    lower_indicator_limit,
     upper_indicator_limit,
 )
 from .hyptest import (
@@ -182,8 +182,7 @@ def _statistic_inputs(args) -> tuple:
 def _run_closed_form(args) -> int:
     iv = interval(args.mu_lo, args.mu_hi)
     a, b = _endpoints(args)
-    limit = IndicatorLimit(iv, a, b, args.side)
-    detail = indicator_limit_detail(limit)
+    detail = indicator_limit_detail(iv, a, b, args.side)
     params = {"mu_lo": args.mu_lo, "mu_hi": args.mu_hi, "a": a, "b": b, "side": args.side}
     _emit(args, _payload("closed-form", "upper_indicator_limit"
                          if args.side == "upper" else "lower_indicator_limit",
@@ -262,7 +261,8 @@ def _run_dp(args, theorem=None) -> int:
         # off the indicator's midpoint a switching rule has another limit
         off_center = increment(theorem).switching and not _centered(rule.center, args.a, args.b)
         if not off_center:
-            limit = IndicatorLimit(rule.interval, args.a, args.b, spec.side).value()
+            side_limit = upper_indicator_limit if spec.side == "upper" else lower_indicator_limit
+            limit = side_limit(rule.interval, args.a, args.b)
     if args.n_list:
         reference = limit if args.reference is None else args.reference
         if reference is None:
@@ -327,10 +327,7 @@ def _run_mc(args) -> int:
 
 
 def _run_hyptest(args) -> int:
-    spec = TestSpec(
-        kappa=args.kappa, sigma=args.sigma, alpha=args.alpha,
-        theta0=args.theta0, xi=args.xi,
-    )
+    spec = TestSpec(kappa=args.kappa, sigma=args.sigma, alpha=args.alpha, theta0=args.theta0)
     a_cal, b_cal = calibrate_interval(spec)
     coverage = wrong_acceptance(spec, a_cal, b_cal, 0.0)
     xi_grid = [args.xi] if args.xi else []

@@ -24,7 +24,6 @@ values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -163,38 +162,21 @@ def reflected_density(x: float, kappa: float, t: float, z):
     return out
 
 
-@dataclass(frozen=True)
-class IndicatorLimit:
-    """A request for one indicator limit: interval model, endpoints, side."""
+def indicator_limit_detail(
+    iv: AmbiguityInterval, a: float, b: float, side: str = "upper"
+) -> dict:
+    """Value plus the branch/shift bookkeeping, for reporting.
 
-    interval: AmbiguityInterval
-    a: float
-    b: float
-    side: str = "upper"
-
-    def __post_init__(self):
-        if not self.a < self.b:
-            raise BadInterval(f"need a < b, got a={self.a!r}, b={self.b!r}")
-        if self.side not in ("upper", "lower"):
-            raise ValueError(f"unknown side {self.side!r}")
-
-    def value(self) -> float:
-        fn = upper_indicator_limit if self.side == "upper" else lower_indicator_limit
-        return fn(self.interval, self.a, self.b)
-
-
-def indicator_limit_detail(limit: IndicatorLimit) -> dict:
-    """Value plus the branch/shift bookkeeping, for reporting."""
-    kappa, center = shift_reduce(limit.interval)
-    a, b = limit.a, limit.b
+    The branch is the one the value came from: the test (a - c) + (b - c) >= 0
+    on the shift-reduced endpoints, not a float comparison of a + b with
+    mu_lower + mu_upper, which can round to the other side of a tie.
+    """
+    if side not in ("upper", "lower"):
+        raise ValueError(f"unknown side {side!r}")
+    value = _indicator_limit(iv, a, b, side)
+    kappa, center = shift_reduce(iv)
     if math.isinf(a) or math.isinf(b):
         branch = "one_sided"
     else:
-        d = float(limit.interval.mu_upper) + float(limit.interval.mu_lower)
-        branch = "a+b>=mu_sum" if a + b >= d else "a+b<mu_sum"
-    return {
-        "value": limit.value(),
-        "branch": branch,
-        "kappa": kappa,
-        "center": center,
-    }
+        branch = "a+b>=mu_sum" if (a - center) + (b - center) >= 0.0 else "a+b<mu_sum"
+    return {"value": value, "branch": branch, "kappa": kappa, "center": center}

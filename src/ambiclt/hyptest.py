@@ -43,13 +43,12 @@ class EmptyTheta(ValueError):
 
 @dataclass(frozen=True)
 class TestSpec:
-    """Testing problem: error ambiguity, scale, level, null value, offset."""
+    """Testing problem: error ambiguity, scale, level and null value."""
 
     kappa: float
     sigma: float
     alpha: float
     theta0: float = 0.0
-    xi: float = 0.0
 
     def __post_init__(self):
         if self.kappa < 0:
@@ -58,10 +57,6 @@ class TestSpec:
             raise ValueError("sigma must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-
-
-def _coverage(kappa: float, a: float, b: float) -> float:
-    return upper_indicator_limit(interval(-kappa, kappa), a, b)
 
 
 def _bisect(fn, lo: float, hi: float, target: float) -> float:
@@ -98,7 +93,8 @@ def calibrate_interval(
         if a is not None:
             raise ValueError("symmetric mode determines a = -b")
         hi = 20.0 + 10.0 * kappa
-        b = _bisect(lambda t: _coverage(kappa, -t, t) if t > 0 else 0.0, 0.0, hi, target)
+        b = _bisect(lambda t: wrong_acceptance(spec, -t, t, 0.0) if t > 0 else 0.0,
+                    0.0, hi, target)
         result = (-b, b)
     else:
         if a is None:
@@ -111,9 +107,10 @@ def calibrate_interval(
             )
         hi = a + 40.0 + 20.0 * kappa
         eps = 1e-12 * (1.0 + abs(a))
-        b = _bisect(lambda t: _coverage(kappa, a, t) if t > a else 0.0, a + eps, hi, target)
+        b = _bisect(lambda t: wrong_acceptance(spec, a, t, 0.0) if t > a else 0.0,
+                    a + eps, hi, target)
         result = (a, b)
-    resid = abs(_coverage(kappa, result[0], result[1]) - target)
+    resid = abs(wrong_acceptance(spec, *result, 0.0) - target)
     if resid > CALIBRATION_TOL:
         raise NoConvergence(f"calibration residual {resid:.3g} exceeds tolerance")
     return result
@@ -121,7 +118,8 @@ def calibrate_interval(
 
 def wrong_acceptance(spec: TestSpec, a: float, b: float, xi: float) -> float:
     """Limiting upper probability of accepting theta0 when the truth is
-    offset by xi: the indicator limit on the shifted interval [a-xi, b-xi]."""
+    offset by xi: the indicator limit on the shifted interval [a-xi, b-xi].
+    At xi = 0 it is the coverage of [a, b]."""
     return upper_indicator_limit(interval(-spec.kappa, spec.kappa), a - xi, b - xi)
 
 
@@ -161,7 +159,7 @@ def optimize_ab(spec: TestSpec, xi: float) -> tuple[float, float, float]:
     edge = _NormalDist().inv_cdf(target) - kappa
     a, b = (-math.inf, edge) if xi > 0 else (-edge, math.inf)
     # the coverage constraint must bind at the returned interval
-    resid = abs(_coverage(kappa, a, b) - target)
+    resid = abs(wrong_acceptance(spec, a, b, 0.0) - target)
     if resid > CALIBRATION_TOL:
         raise NoConvergence(f"coverage residual {resid:.3g} at the optimum exceeds tolerance")
     return a, b, wrong_acceptance(spec, a, b, xi)
@@ -169,29 +167,27 @@ def optimize_ab(spec: TestSpec, xi: float) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class ThetaSet:
-    """Hypothesized parameter set: a point, closed interval, or finite set."""
+    """Hypothesized parameter set, held as closed intervals: a point is one
+    degenerate interval, a finite set one per point."""
 
-    kind: str
-    lo: float = math.nan
-    hi: float = math.nan
-    points: tuple[float, ...] = ()
+    intervals: tuple[tuple[float, float], ...]
 
     @classmethod
     def point(cls, theta0: float) -> "ThetaSet":
-        return cls("point", lo=float(theta0), hi=float(theta0))
+        return cls.finite([theta0])
 
     @classmethod
     def closed_interval(cls, lo: float, hi: float) -> "ThetaSet":
         if hi < lo:
             raise EmptyTheta("interval with hi < lo is empty")
-        return cls("interval", lo=float(lo), hi=float(hi))
+        return cls(((float(lo), float(hi)),))
 
     @classmethod
     def finite(cls, points) -> "ThetaSet":
-        pts = tuple(sorted(float(p) for p in points))
+        pts = sorted(float(p) for p in points)
         if not pts:
             raise EmptyTheta("finite parameter set is empty")
-        return cls("finite", points=pts)
+        return cls(tuple((p, p) for p in pts))
 
 
 def test_decision(M_n: float, a: float, b: float, theta: ThetaSet) -> str:
@@ -199,14 +195,7 @@ def test_decision(M_n: float, a: float, b: float, theta: ThetaSet) -> str:
     if not a < b:
         raise BadInterval(f"need a < b, got a={a!r}, b={b!r}")
     lo, hi = M_n - b, M_n - a
-    if theta.kind == "point":
-        accept = lo <= theta.lo <= hi
-    elif theta.kind == "interval":
-        accept = theta.lo <= hi and theta.hi >= lo
-    elif theta.kind == "finite":
-        accept = any(lo <= p <= hi for p in theta.points)
-    else:
-        raise ValueError(f"unknown theta kind {theta.kind!r}")
+    accept = any(t_lo <= hi and t_hi >= lo for t_lo, t_hi in theta.intervals)
     return "accept" if accept else "reject"
 
 

@@ -345,30 +345,21 @@ def dpp_check(
     return worst
 
 
-def _detect_monotonicity(phi: TerminalFunction) -> str:
-    xs = np.linspace(-30.0, 30.0, 6001)
-    ys = phi.sample(xs)
-    diffs = np.diff(ys)
-    tol = 1e-12 * (1.0 + float(np.max(np.abs(ys))))
-    rises = bool(np.any(diffs > tol))
-    falls = bool(np.any(diffs < -tol))
-    if rises and falls:
-        raise NotMonotone("terminal function changes direction")
-    if rises:
-        return "increasing"
-    if falls:
-        return "decreasing"
-    return "constant"
-
-
 def monotone_reduction(phi: TerminalFunction, iv: AmbiguityInterval) -> float:
-    """Limit value for globally monotone phi: quadrature against the normal
-    law at the extreme drift (lower mean for decreasing phi, upper for
-    increasing).  Constant terminals return the constant."""
-    direction = _detect_monotonicity(phi)
-    if direction == "constant":
+    """Limit value for a one-sided payoff, read from its endpoints: quadrature
+    against the normal law at the extreme drift, the lower mean for a payoff
+    of (-inf, b], which falls, and the upper for one of [a, inf), which
+    rises.  With both endpoints infinite the payoff is constant and is
+    returned; with both finite it rises and falls, and NotMonotone is raised.
+    """
+    if phi.kind == "tabulated":
+        raise TypeError("tabulated terminal has no endpoints")
+    falls, rises = math.isinf(phi.a), math.isinf(phi.b)
+    if falls and rises:
         return phi(0.0)
-    mu = float(iv.mu_lower) if direction == "decreasing" else float(iv.mu_upper)
+    if not (falls or rises):
+        raise NotMonotone("terminal function rises and falls")
+    mu = float(iv.mu_lower) if falls else float(iv.mu_upper)
 
     def integrand(t: float) -> float:
         return phi(t) * math.exp(-0.5 * (t - mu) ** 2) / math.sqrt(2.0 * math.pi)

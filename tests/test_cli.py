@@ -60,6 +60,18 @@ class TestClosedFormCommand:
         assert payload["value"] == pytest.approx(0.6179114221889526, abs=1e-12)
         assert payload["branch"] == "one_sided"
 
+    def test_branch_is_the_one_the_value_came_from(self, tmp_path):
+        # -0.4 + 2.33 >= 0.6 + 1.33 in floats, but the shift-reduced sum the
+        # value is computed from, (a - c) + (b - c), is -2.2e-16
+        out = tmp_path / "cf.json"
+        assert run_cli([
+            "closed-form", "--mu-lo", "0.6", "--mu-hi", "1.33",
+            "--a", "-0.4", "--b", "2.33", "--output", str(out),
+        ]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["branch"] == "a+b<mu_sum"
+        assert payload["value"] == upper_indicator_limit(interval(0.6, 1.33), -0.4, 2.33)
+
 
 class TestDpCommand:
     def test_value_matches_library(self, tmp_path):

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from ambiclt.closed_form import (
     BadInterval,
     BadTime,
-    IndicatorLimit,
     indicator_limit_detail,
     lower_indicator_limit,
     normal_cdf,
@@ -216,13 +215,36 @@ class TestReflectedDensity:
 
 class TestIndicatorLimitRecord:
     def test_detail_fields(self):
-        limit = IndicatorLimit(interval(-0.3, 0.3), -1.0, 1.0, "upper")
-        detail = indicator_limit_detail(limit)
+        detail = indicator_limit_detail(interval(-0.3, 0.3), -1.0, 1.0, "upper")
         assert detail["branch"] == "a+b>=mu_sum"
         assert detail["kappa"] == 0.3
         assert detail["center"] == 0.0
         assert detail["value"] == upper_indicator_limit(interval(-0.3, 0.3), -1, 1)
 
+    @pytest.mark.parametrize("side, fn", [("upper", upper_indicator_limit),
+                                          ("lower", lower_indicator_limit)])
+    def test_value_is_the_side_limit(self, side, fn):
+        iv = interval(-0.2, 0.7)
+        for a, b in ((-1.0, 1.0), (-math.inf, 0.3), (0.3, math.inf), (-math.inf, math.inf)):
+            assert indicator_limit_detail(iv, a, b, side)["value"] == fn(iv, a, b)
+        assert indicator_limit_detail(iv, -1.0, 0.3, side)["branch"] == "a+b<mu_sum"
+        assert indicator_limit_detail(iv, -math.inf, 0.3, side)["branch"] == "one_sided"
+
+    def test_branch_at_a_rounded_tie(self):
+        # a + b = mu_lo + mu_hi in decimals, and -0.4 + 2.33 >= 0.6 + 1.33 in
+        # floats, but the shift-reduced sum the value is computed from is
+        # -2.2e-16: the value comes from the a + b < mu_sum formula
+        iv = interval(0.6, 1.33)
+        _, c = shift_reduce(iv)
+        assert (-0.4 - c) + (2.33 - c) < 0.0 and -0.4 + 2.33 >= 0.6 + 1.33
+        detail = indicator_limit_detail(iv, -0.4, 2.33)
+        assert detail["branch"] == "a+b<mu_sum"
+        assert detail["value"] == upper_indicator_limit(iv, -0.4, 2.33)
+
     def test_invalid_side(self):
-        with pytest.raises(ValueError):
-            IndicatorLimit(interval(0, 0), -1.0, 1.0, "middle")
+        with pytest.raises(ValueError, match="unknown side"):
+            indicator_limit_detail(interval(0, 0), -1.0, 1.0, "middle")
+
+    def test_invalid_interval(self):
+        with pytest.raises(BadInterval):
+            indicator_limit_detail(interval(0, 0), 1.0, 1.0)

@@ -116,7 +116,7 @@ class TestWrongAcceptance:
 
 class TestOptimizeAb:
     def test_never_worse_than_symmetric(self):
-        spec = HypSpec(kappa=0.0, sigma=1.0, alpha=0.05, xi=1.0)
+        spec = HypSpec(kappa=0.0, sigma=1.0, alpha=0.05)
         a_sym, b_sym = calibrate_interval(spec)
         _, _, best = optimize_ab(spec, 1.0)
         assert best <= wrong_acceptance(spec, a_sym, b_sym, 1.0) + 1e-12
@@ -127,7 +127,7 @@ class TestOptimizeAb:
     def test_matches_grid_search_oracle(self, kappa, alpha, xi):
         # the oracle calibrates b for each left endpoint a on a grid that runs
         # past the largest feasible a, and keeps the least wrong acceptance
-        spec = HypSpec(kappa=kappa, sigma=1.0, alpha=alpha, xi=xi)
+        spec = HypSpec(kappa=kappa, sigma=1.0, alpha=alpha)
         a, b, best = optimize_ab(spec, xi)
         grid_vals = []
         for left in np.linspace(-10.0 - kappa, kappa + 1.0, 60):
@@ -141,7 +141,7 @@ class TestOptimizeAb:
 
     def test_positive_offset_shifts_away(self):
         # optimal interval sits left of the symmetric one when xi > 0
-        spec = HypSpec(kappa=0.0, sigma=1.0, alpha=0.05, xi=1.0)
+        spec = HypSpec(kappa=0.0, sigma=1.0, alpha=0.05)
         a_sym, _ = calibrate_interval(spec)
         a_opt, b_opt, _ = optimize_ab(spec, 1.0)
         assert a_opt < a_sym and b_opt < -a_sym
@@ -156,7 +156,7 @@ class TestOptimizeAb:
             optimize_ab(SPEC0, 0.0)
 
     def test_constraint_binds_under_ambiguity(self):
-        spec = HypSpec(kappa=0.3, sigma=1.0, alpha=0.1, xi=0.8)
+        spec = HypSpec(kappa=0.3, sigma=1.0, alpha=0.1)
         a, b, _ = optimize_ab(spec, 0.8)
         cov = upper_indicator_limit(interval(-0.3, 0.3), a, b)
         assert cov == pytest.approx(0.9, abs=1e-9)
@@ -166,7 +166,7 @@ class TestOptimizeAb:
         # the check must survive python -O
         monkeypatch.setattr(hyptest, "_NormalDist", lambda: NormalDist(0.1, 1.0))
         with pytest.raises(NoConvergence):
-            optimize_ab(HypSpec(kappa=0.3, sigma=1.0, alpha=0.1, xi=0.8), 0.8)
+            optimize_ab(HypSpec(kappa=0.3, sigma=1.0, alpha=0.1), 0.8)
 
 
 class TestDecision:
@@ -186,6 +186,13 @@ class TestDecision:
         assert decide(0.0, -1.0, 1.0, ThetaSet.closed_interval(0.9, 4.0)) == "accept"
         assert decide(0.0, -1.0, 1.0, ThetaSet.closed_interval(1.1, 4.0)) == "reject"
         assert decide(0.0, -1.0, 1.0, ThetaSet.finite([-5.0, 0.7])) == "accept"
+
+    def test_one_representation(self):
+        # every kind is a tuple of closed intervals; a point is a degenerate one
+        point = ThetaSet.point(0.5)
+        assert point == ThetaSet.finite([0.5]) == ThetaSet.closed_interval(0.5, 0.5)
+        assert ThetaSet.finite([0.7, -5.0]).intervals == ((-5.0, -5.0), (0.7, 0.7))
+        assert decide(0.0, -1.0, 1.0, ThetaSet.finite([-5.0, 1.2])) == "reject"
 
     def test_empty_theta(self):
         with pytest.raises(EmptyTheta):

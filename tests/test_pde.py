@@ -341,9 +341,47 @@ class TestMonotoneReduction:
                 TerminalFunction.smoothed_indicator(-1, 1, 0.05), interval(-0.3, 0.3)
             )
 
+    @pytest.mark.parametrize("a, b", [("0.001", "0.002"), (40, 50)])
+    def test_two_finite_endpoints_rejected(self, a, b):
+        # both payoffs rise and fall, however narrow or far from the origin
+        with pytest.raises(NotMonotone):
+            monotone_reduction(TerminalFunction.indicator(a, b), interval(-0.3, 0.3))
+
+    def test_direction_from_the_infinite_endpoint(self):
+        iv = interval(-0.2, 0.5)
+        left = monotone_reduction(TerminalFunction.left(0.3), iv)
+        right = monotone_reduction(TerminalFunction.right(0.3), iv)
+        assert left == pytest.approx(normal_cdf(-0.2, 0.3), abs=1e-9)
+        assert right == pytest.approx(1.0 - normal_cdf(0.5, 0.3), abs=1e-9)
+        assert monotone_reduction(TerminalFunction.indicator(-math.inf, math.inf), iv) == 1.0
+
+    def test_tabulated_rejected(self):
+        with pytest.raises(TypeError):
+            monotone_reduction(TerminalFunction.tabulated([0.0, 1.0, 1.0]), interval(-0.3, 0.3))
+
     def test_increasing_case_matches_solver(self):
         iv = interval(-0.3, 0.3)
         phi = TerminalFunction.smoothed_indicator(0.2, math.inf, 0.05)
         want = monotone_reduction(phi, iv)
         res = epsilon_extrapolate(phi, 0.3, PdeGrid.default(), EPS_SWEEP)
         assert res.extrapolated == pytest.approx(want, abs=5e-3)
+
+
+class TestShiftEquivariance:
+    # a payoff moved by t, read at the moved point, has the same value; each
+    # eps profile is checked, so their eps-extrapolant is too
+    PROBES = (-2.0, -1.0, -0.5, 0.0, 0.3, 1.0, 1.5)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.3, 0.6])
+    def test_moved_payoff_read_at_the_moved_point(self, kappa):
+        def values(t, eps):
+            phi = TerminalFunction.smoothed_indicator(-1 + t, 1 + t, 0.05)
+            prof = solve_g_expectation_profile(phi, GeneratorSpec(kappa, eps), COARSE)
+            return np.array([pde._interp(COARSE, prof, x0 + t) for x0 in self.PROBES])
+
+        for eps in EPS_SWEEP[-2:]:
+            base = values(0.0, eps)
+            for t in (0.5, -0.5, 1.0, -0.02):  # multiples of dx = 0.02
+                assert np.max(np.abs(values(t, eps) - base)) <= 1e-12, (eps, t)
+            # off the grid the payoff is sampled at other offsets from the nodes
+            assert np.max(np.abs(values(0.123, eps) - base)) <= 5e-5, eps

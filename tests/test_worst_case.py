@@ -860,55 +860,70 @@ class TestBandProbability:
 
 
 def dict_product_model_value(L, phi, n, variant="clt", *, alpha=1, beta=1, exact=False):
-    """Reference product model: one dict convolution per law multiset, in
-    float arithmetic or, with ``exact``, in Fractions with each float payoff
-    taken at its exact value."""
+    """Reference product model: the law of the outcome sum by dict
+    convolution under each law multiset, in float arithmetic or, with
+    ``exact``, in integer weights over the probabilities' common denominator
+    with each float payoff taken at its exact value.
+
+    With k_j steps of law j, of center c_j, the statistic is u + w/sqrt(s)
+    with u = drift*S/n and w = noise*(S - sum k_j*c_j), S the outcome sum.
+    So a state is keyed by S as an integer over the values' common
+    denominator, multisets that share a prefix of counts share its
+    convolutions, and each terminal (S, center sum) key, the center sum an
+    integer over the centers' common denominator, is evaluated once.
+    """
     from ambiclt._exact import sqrt_exact
 
     inc = increment(variant, alpha, beta)
     s = Fraction(n) * validate_measure_set(L).variance_exact()
     root = sqrt_exact(s)
-    k = len(L.laws)
-    num = Fraction if exact else float
+    den = math.lcm(*(x.denominator for x in L.values))
+    if exact:
+        scale = math.lcm(*(p.denominator for law in L.laws for p in law.probs))
+        weight, num = (lambda p: int(p * scale)), Fraction
+    else:
+        scale, weight, num = 1, float, float
+    steps = [[(int(x * den), weight(p)) for x, p in zip(L.values, law.probs) if p]
+             for law in L.laws]
+    centers = inc.law_centers(L.means())
+    cden = math.lcm(*(c.denominator for c in centers))
+    centers = [int(c * cden) for c in centers]
+    payoffs = {}
 
-    def canonical(u, w):
-        """The (u, w) key of u + w/sqrt(s), w folded into u when sqrt(s) is
-        rational, as ExactValue.create keys it."""
-        if root is not None and w != 0:
-            return (u + w / root, Fraction(0))
-        return (u, w)
+    def payoff(total, center_sum):
+        key = (total, center_sum)
+        if key not in payoffs:
+            x = Fraction(total, den)
+            u, w = inc.drift * x / n, inc.noise * (x - Fraction(center_sum, cden))
+            if root is not None and w != 0:  # folded into u, as ExactValue.create does
+                u, w = u + w / root, Fraction(0)
+            value = ExactValue(u, w, s)
+            payoffs[key] = num(float(phi.evaluate_exact(value)) if phi.supports_exact
+                               else phi(float(value)))
+        return payoffs[key]
 
-    law_steps = [[inc.exact(x, c, n) for x in L.values] for c in inc.law_centers(L.means())]
-    fl_probs = [tuple(num(p) for p in law.probs) for law in L.laws]
+    def convolve(dist, law):
+        out: dict = {}
+        for total, p0 in dist.items():
+            for dx, p in law:
+                out[total + dx] = out.get(total + dx, 0) + p0 * p
+        return out
 
-    def evaluate(counts: tuple[int, ...]):
-        dist = {canonical(Fraction(0), Fraction(0)): num(1)}
-        for j, cnt in enumerate(counts):
-            for _ in range(cnt):
-                nxt: dict = {}
-                for (u, w), p0 in dist.items():
-                    for (du, dw), p in zip(law_steps[j], fl_probs[j]):
-                        if p:
-                            key = canonical(u + du, w + dw)
-                            nxt[key] = nxt.get(key, num(0)) + p0 * p
-                dist = nxt
-        total = num(0)
-        for (u, w), p0 in dist.items():
-            if phi.supports_exact:
-                total += p0 * num(float(phi.evaluate_exact(ExactValue(u, w, s))))
-            else:
-                total += p0 * num(phi(float(ExactValue(u, w, s))))
-        return total
+    def best(dist, j, left, center_sum):
+        """The largest expectation over the multisets that give the left
+        remaining steps to laws j, j + 1, ..."""
+        if j == len(steps) - 1:
+            for _ in range(left):
+                dist = convolve(dist, steps[j])
+            center_sum += left * centers[j]
+            return sum(p * payoff(total, center_sum) for total, p in dist.items())
+        value = best(dist, j + 1, left, center_sum)
+        for used in range(1, left + 1):
+            dist = convolve(dist, steps[j])
+            value = max(value, best(dist, j + 1, left - used, center_sum + used * centers[j]))
+        return value
 
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    return max(evaluate(c) for c in compositions(n, k))
+    return best({0: 1}, 0, n, 0) / scale**n
 
 
 PRODUCT_VARIANTS = [("clt", {}), ("lln", {}), ("deviation", {}),

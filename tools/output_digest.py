@@ -19,10 +19,14 @@ chunk of 7 paths), the statistics fold (``path_statistic`` exact and float,
 0, 0.17 and +/-inf, ``size_power_simulation``, ``optimize_ab`` (the optimal
 interval and its value at kappa 0, 0.3 and 0.6, alpha 0.01 and 0.05, and
 offsets -1, 0.5 and 2; ``hyptest_optimize``), ``epsilon_extrapolate`` at
-kappa 0, 0.3 and 0.6, PDE profiles, and the CLI payloads: ``ambiclt mc``,
-``pde``, ``closed-form`` (upper, lower, one-sided), ``hyptest`` (calibration
-alone and with ``--paths``), and ``dp`` and ``lln`` with one or both
-endpoints, single-n and ``--n-list`` tables, JSON and CSV.  Two digests
+kappa 0, 0.3 and 0.6, PDE profiles, the closed form (``closed_form``:
+``indicator_limit_detail`` on both sides over seeded shifted mean intervals,
+with endpoints on the branch line a + b = mu_lo + mu_hi and one-sided ends,
+and ``monotone_reduction`` on left, right and constant payoffs), and the
+CLI payloads: ``ambiclt mc``, ``pde``, ``closed-form`` (upper, lower,
+one-sided), ``hyptest`` (calibration alone and with ``--paths``), and
+``dp`` and ``lln`` with one or both endpoints, single-n and ``--n-list``
+tables, JSON and CSV.  Two digests
 cover the dynamic program further: ``dp_layers``, the per-state tables of
 ``dp_lattice`` (every layer's keys and values, and its count of exact
 tests) at n = 5 and 12, and ``dp_float_long``, float ``special`` and
@@ -40,8 +44,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from ambiclt import cli, hyptest, pde, worst_case
-from ambiclt.measures import DiscreteMeasure, MeasureSet, coin_example, validate_measure_set
+from ambiclt import cli, closed_form, hyptest, pde, worst_case
+from ambiclt.measures import (DiscreteMeasure, MeasureSet, coin_example, interval,
+                              validate_measure_set)
 from ambiclt.statistics import (VARIANT_M, VARIANT_TILDE, SwitchRule, path_statistic,
                                 statistic_trace)
 from ambiclt.terminal import TerminalFunction
@@ -257,12 +262,57 @@ def oracle(digest):
                                 minimize=minimize)).encode())
 
 
+def _limit_detail(iv, a, b, side):
+    # a tree that still has the IndicatorLimit record passes the request as one
+    record = getattr(closed_form, "IndicatorLimit", None)
+    if record is not None:
+        return closed_form.indicator_limit_detail(record(iv, a, b, side))
+    return closed_form.indicator_limit_detail(iv, a, b, side)
+
+
+def closed_form_cases():
+    """(request, answer) reprs of the closed-form digest, one pair per case."""
+    rng = np.random.default_rng(13)
+    requests = [(0.6, 1.33, -0.4, 2.33)]
+    for _ in range(1500):
+        # hundredths, so that a + b = mu_lo + mu_hi holds in decimals and
+        # only the float sums decide the branch
+        c, kappa, a = (int(v) for v in rng.integers((-200, 0, -400), (201, 151, 401)))
+        lo, hi = (c - kappa) / 100, (c + kappa) / 100
+        boundary = (2 * c - a) / 100
+        a /= 100
+        if a < boundary:
+            requests.append((lo, hi, a, boundary))
+        elif boundary < a:
+            requests.append((lo, hi, boundary, a))
+        width = float(rng.uniform(0.01, 4.0))
+        requests.append((lo, hi, a, a + width))
+        requests.append((lo, hi, -math.inf, a))
+        requests.append((lo, hi, a, math.inf))
+    out = []
+    for lo, hi, a, b in requests:
+        iv = interval(lo, hi)
+        for side in ("upper", "lower"):
+            out.append((repr((lo, hi, a, b, side)), repr(_limit_detail(iv, a, b, side))))
+    payoffs = (TerminalFunction.left(0.5), TerminalFunction.right("-1/3"),
+               TerminalFunction.smoothed_indicator(-math.inf, 0.5, 0.1),
+               TerminalFunction.smoothed_indicator(-0.2, math.inf, 0.05),
+               TerminalFunction.smoothed_indicator(-math.inf, math.inf, 1.0),
+               TerminalFunction.indicator(-math.inf, math.inf))
+    for kappa in (0.0, 0.3, 0.6):
+        for center in (0.0, 0.25):
+            iv = interval(center - kappa, center + kappa)
+            for phi in payoffs:
+                out.append((repr((kappa, center, phi)), repr(pde.monotone_reduction(phi, iv))))
+    return out
+
+
 def main() -> int:
     digests = {name: hashlib.sha256() for name in (
         "dp_exact", "dp_float", "product_model_value", "band_probability_sup",
         "simulate_statistic_values", "mc_policy_value", "size_power_simulation",
         "epsilon_extrapolate", "pde_profiles", "cli_payloads", "fold", "oracle",
-        "dp_layers", "dp_float_long", "hyptest_optimize")}
+        "dp_layers", "dp_float_long", "hyptest_optimize", "closed_form")}
     dynamic_program(digests["dp_exact"], digests["dp_float"],
                     digests["product_model_value"], digests["band_probability_sup"])
     dp_layers(digests["dp_layers"])
@@ -281,6 +331,9 @@ def main() -> int:
             for xi in (-1.0, 0.5, 2.0):
                 digests["hyptest_optimize"].update(
                     repr(hyptest.optimize_ab(hyptest.TestSpec(kappa, 1.0, alpha), xi)).encode())
+
+    for request, answer in closed_form_cases():
+        digests["closed_form"].update(f"{request} {answer}\n".encode())
 
     default, small = pde.PdeGrid.default(), pde.PdeGrid(-10.0, 10.0, 401, 400)
     runs = [(TerminalFunction.smoothed_indicator(-1, 1, 0.05), kappa, default,
