@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import sqrt
 from typing import Union
 
@@ -106,6 +107,23 @@ class MeasureSet:
         ms = self.means()
         return min(ms), max(ms)
 
+    @cached_property
+    def _interval(self) -> "AmbiguityInterval":
+        # validate_measure_set's answer, kept on the immutable set; a set that
+        # fails the checks keeps nothing, so it raises on every call
+        means = self.means()
+        variances = [law.second_moment() - mu * mu for law, mu in zip(self.laws, means)]
+        if len(set(variances)) > 1:
+            raise VarianceAmbiguous(
+                f"law variances span {float(min(variances))!r}..{float(max(variances))!r}"
+            )
+        sigma_sq = variances[0]
+        if sigma_sq == 0:
+            raise DegenerateSigma("common variance is zero")
+        root = sqrt_exact(sigma_sq)
+        sigma: Union[float, Fraction] = root if root is not None else sqrt(float(sigma_sq))
+        return AmbiguityInterval(min(means), max(means), sigma, sigma_sq=sigma_sq)
+
     def shifted(self, t: Numeric) -> "MeasureSet":
         """The same set with every outcome value translated by t."""
         dt = to_fraction(t)
@@ -160,7 +178,8 @@ def validate_measure_set(L: MeasureSet) -> AmbiguityInterval:
     """Check the standing assumptions and extract (mu_lower, mu_upper, sigma).
 
     The mean interval is the exact min/max of per-law means.  Every law must
-    carry exactly the same variance, which is the common sigma^2.
+    carry exactly the same variance, which is the common sigma^2.  The set
+    is immutable, so the answer is computed once per set.
 
     Raises
     ------
@@ -169,19 +188,7 @@ def validate_measure_set(L: MeasureSet) -> AmbiguityInterval:
     DegenerateSigma
         if the common variance is zero.
     """
-    means = L.means()
-    variances = [law.second_moment() - mu * mu for law, mu in zip(L.laws, means)]
-    if len(set(variances)) > 1:
-        raise VarianceAmbiguous(
-            f"law variances span {float(min(variances))!r}..{float(max(variances))!r}"
-        )
-    sigma_sq = variances[0]
-    if sigma_sq == 0:
-        raise DegenerateSigma("common variance is zero")
-    mu_lo, mu_hi = min(means), max(means)
-    root = sqrt_exact(sigma_sq)
-    sigma: Union[float, Fraction] = root if root is not None else sqrt(float(sigma_sq))
-    return AmbiguityInterval(mu_lo, mu_hi, sigma, sigma_sq=sigma_sq)
+    return L._interval
 
 
 def coin_example(p: Numeric, q: Numeric) -> MeasureSet:

@@ -31,8 +31,9 @@ over a power of the probabilities' common denominator.
 The statistic rises with the row offset, so within a column the cells that
 take the upper mean are a prefix of the rows under the M-rule and a suffix
 under the M-tilde rule, and a terminal indicator holds on a run of rows.
-Each column's boundary is located from the float statistic, for all steps
-at once, and only the cells whose float statistic lies within a small
+Each column's boundaries, every step's threshold and the indicator's
+endpoints, are located from the float statistic in one pass, and only the
+cells whose float statistic lies within a small
 relative margin of the threshold or an endpoint take the exact test: the
 sign of the statistic minus the threshold, from the integer numerators of
 its affine form in (m, a, b), in int64 while the products fit and in Python
@@ -41,13 +42,17 @@ every decision is the exact one.  A smooth terminal is sampled once on the
 whole layer, each cell's statistic being formed as the float of its exact
 value is, from integer numerators.
 
-Every variant takes one backward step.  The rows of a column up to its
-split take the ``first`` centers and the others the ``rest``: under a
-switching rule the split is the column's boundary; without one every row is
-a first row, each law keeping its own center.  Each law's expectation is a
-weighted sum of shifted slices of the next layer (gathers where the
-reachable offsets have gaps), formed with the laws on a leading axis in row
-blocks that stay in cache, and reduced by max (min) over the laws.
+Every variant takes one backward step.  An outcome moves a cell along its
+column and a center along its row, so a law's expectation of layer m is
+formed once, over every column of layer m: a weighted sum of row-shifted
+slices of the layer (gathers where the reachable sums have gaps), with the
+laws of one center on a leading axis, in row blocks that stay in cache, and
+reduced by max (min) over those laws.  A cell of layer m - 1 reads it at
+its center's column.  Without a switching rule each law keeps its own
+center and a cell takes the best over the centers.  Under one every law
+takes the step's one center, so one expectation serves both means: the rows
+of a column up to its boundary read it at the ``first`` mean's column, the
+others at the ``rest`` mean's.
 
 A seeded Monte Carlo policy evaluator provides lower bounds on the suprema,
 and :func:`convergence_report` tabulates finite-n values against their
@@ -202,11 +207,13 @@ def _advance(offsets, moves: Sequence[int], gap: int, dtype):
     """The sorted offsets that one more move reaches from ``offsets``, as a
     range when they are the run 0, 1, ..., and for each move where
     ``offsets`` land among them: a slice when they land on a contiguous run,
-    else an index array.  ``gap`` is the widest gap between sorted moves."""
+    else an index array.  ``gap`` is the widest gap between sorted moves.
+    The landings are None when a run stays a run: move d lands entry i on
+    i + d."""
     size = len(offsets)
     if isinstance(offsets, range) and gap <= size:
         # the run, moved by steps no wider than itself, stays a run
-        return range(size + max(moves)), {d: slice(d, d + size) for d in moves}
+        return range(size + max(moves)), None
     offsets = np.asarray(offsets, dtype=dtype)
     after = np.unique(np.concatenate([offsets + d for d in moves]))
     lands = {}
@@ -227,6 +234,12 @@ class _Lattice:
     column offset by ``dc[c]``.  ``rows[m]`` and ``cols[m]`` are the sorted
     offsets that m steps reach (a range for a gapless run), so a layer's size
     follows the number of distinct sums, however fine the lattice units are.
+
+    An outcome moves a cell along its column and a center along its row:
+    :meth:`landing` gives where the rows or the columns of layer m - 1 land
+    in layer m on one move, so a backward step can form a law's expectation
+    over every column of layer m once and read each cell's center from it.
+    A run that stays a run stores no landing: move d takes entry i to i + d.
     """
 
     def __init__(self, route: _Route, steps: int, max_states: int, keep_layers: bool):
@@ -252,7 +265,7 @@ class _Lattice:
             self.cols.append(cols)
             self._lands.append((row_lands, col_lands))
             if not (isinstance(rows, range) and isinstance(cols, range)):
-                stored = [rows, cols, *row_lands.values(), *col_lands.values()]
+                stored = [rows, cols, *(row_lands or {}).values(), *(col_lands or {}).values()]
                 offsets += sum(v.size for v in stored if isinstance(v, np.ndarray))
             prev, size = size, len(rows) * len(cols)
             cells = cells + size if keep_layers else size + prev
@@ -273,15 +286,17 @@ class _Lattice:
     def shape(self, m: int) -> tuple[int, int]:
         return len(self.rows[m]), len(self.cols[m])
 
-    def child(self, m: int, da, db, r0: int, r1: int):
-        """The index of the layer-m cell that each cell of rows r0..r1-1 of
-        layer m - 1 moves to on the offset move (da, db)."""
-        row_lands, col_lands = self._lands[m]
-        i, j = row_lands[da], col_lands[db]
-        i = slice(i.start + r0, i.start + r1) if isinstance(i, slice) else i[r0:r1]
-        if isinstance(i, slice) or isinstance(j, slice):
-            return i, j
-        return np.ix_(i, j)
+    def landing(self, m: int, axis: int, d, r0: int = 0, r1: int | None = None):
+        """Where entries r0..r1-1 of layer m - 1's rows (axis 0) or columns
+        (axis 1) land in layer m on the offset move d: a slice, or an index
+        array where they land with gaps."""
+        if r1 is None:
+            r1 = self.shape(m - 1)[axis]
+        lands = self._lands[m][axis]
+        if lands is None:
+            return slice(d + r0, d + r1)
+        i = lands[d]
+        return slice(i.start + r0, i.start + r1) if isinstance(i, slice) else i[r0:r1]
 
     def state(self, m: int, i, j) -> ExactValue:
         """The exact, canonical statistic value of cell (i, j) of layer m."""
@@ -432,27 +447,33 @@ def _rounded(den: int, k0: int, ka: int, kb: int, rows, cols) -> np.ndarray:
 
 
 def _terminal_layer(grid: _Lattice, phi: TerminalFunction | None, m: int,
-                    terminal: Callable | None = None) -> np.ndarray:
-    """The float payoff of every cell of layer m: ``terminal(u, w)`` of the
-    cell's exact key when given, else phi of its statistic, an indicator
-    being decided exactly."""
+                    terminal: Callable | None = None, entries: Sequence = ()):
+    """(the counts ``grid.splits`` gives for ``entries``, the float payoff of
+    every cell of layer m): ``terminal(u, w)`` of the cell's exact key when
+    given, else phi of its statistic.  An indicator is decided exactly, in
+    the same ``splits`` call as the (layer, t, t_exact, inclusive) entries."""
+    ends = []
+    if terminal is None and phi.supports_exact:
+        # the indicator of [a, b] holds on rows lo..hi-1 of each column: lo
+        # counts the rows below a, hi those at or below b
+        ends = [(m, t, t_exact, inclusive) for t, t_exact, inclusive in (
+            (phi.a, phi.a_exact, False), (phi.b, phi.b_exact, True)) if t_exact is not None]
+    requests = [*entries, *ends]
+    counts = grid.splits(*zip(*requests)) if requests else []
+    decided, counts = counts[:len(entries)], counts[len(entries):]
     if terminal is not None:
         V = np.empty(grid.shape(m))
         for a, b in np.ndindex(V.shape):
             V[a, b] = terminal(*grid.state(m, a, b).key())
-        return V
-    if phi.supports_exact:
-        # the indicator of [a, b] holds on rows lo..hi-1 of each column: lo
-        # counts the rows below a, hi those at or below b
+    elif phi.supports_exact:
         size, _ = grid.shape(m)
-        finite = [end for end in ((phi.a, phi.a_exact, False), (phi.b, phi.b_exact, True))
-                  if end[1] is not None]
-        counts = grid.splits([m] * len(finite), *zip(*finite)) if finite else []
         lo = counts.pop(0) if phi.a_exact is not None else 0
         hi = counts.pop(0) if phi.b_exact is not None else size
         rows = np.arange(size)[:, None]
-        return ((rows >= lo) & (rows < hi)).astype(float)
-    return phi.sample(grid.statistic(m))
+        V = ((rows >= lo) & (rows < hi)).astype(float)
+    else:
+        V = phi.sample(grid.statistic(m))
+    return decided, V
 
 
 def _dp_value(
@@ -490,7 +511,7 @@ def _dp_value(
         weights, dtype = [[p / D for p in law] for law in route.weights], float
 
     # The laws grouped by center, so that laws sharing a center share their
-    # children: [(b-offset of the center, [(a-offset of an outcome, the
+    # expectations: [(b-offset of the center, [(a-offset of an outcome, the
     # outcome's weight in each law of the group, along a leading axis)])],
     # outcomes in order.
     def grouped(law_centers):
@@ -502,75 +523,77 @@ def _dp_value(
             groups.append((grid.dc[c], terms))
         return groups
 
-    # The first splits[m - 1] rows of each column of layer m - 1 take the
-    # ``first`` groups, the other rows the ``rest``.  Under the M-rule the
-    # cells at or below the step's threshold take the upper mean, under the
-    # M-tilde rule the cells below it the lower one: either way a prefix.
+    # Under a switching rule every law takes the step's one center, so one
+    # group serves both centers: the first splits[m - 1] rows of each column
+    # of layer m - 1 read its expectation at the ``first`` center's column,
+    # the other rows at the ``rest`` center's.  Under the M-rule the cells at
+    # or below the step's threshold take the upper mean, under the M-tilde
+    # rule the cells below it the lower one: either way a prefix.
+    entries = []
     if route.switching:
         lo_mu, hi_mu = centers
         first_mu, rest_mu = (lo_mu, hi_mu) if inc.tilde else (hi_mu, lo_mu)
-        first, rest = (grouped([mu] * len(weights)) for mu in (first_mu, rest_mu))
+        groups = grouped([first_mu] * len(weights))
+        rest_db = grid.dc[rest_mu]
         thresholds, float_thresholds = rule._thresholds(n)
-        splits = grid.splits(range(steps), float_thresholds, thresholds,
-                             [not inc.tilde] * steps)
+        entries = [(m, float_thresholds[m], thresholds[m], not inc.tilde) for m in range(steps)]
     else:
-        # every column's split is its full height: one entry, broadcast
-        first, rest = grouped(centers), []
-        splits = [np.full(1, len(grid.rows[m])) for m in range(steps)]
+        groups = grouped(centers)
+    splits, V = _terminal_layer(grid, phi, steps, terminal, entries)
 
-    # forward reachability, for the per-state table only
+    # forward reachability, for the per-state table only: a center moves the
+    # reached cells along their rows, then each outcome along their columns
     if keep_layers:
         reach = [np.ones((1, 1), dtype=bool)]
         for m in range(1, steps + 1):
             prev = reach[-1]
-            firsts = np.arange(len(prev))[:, None] < splits[m - 1]
+            sources = [(db, prev) for db, _ in groups]
+            if route.switching:
+                firsts = np.arange(len(prev))[:, None] < splits[m - 1]
+                sources = [(grid.dc[first_mu], prev & firsts), (rest_db, prev & ~firsts)]
             nxt = np.zeros(grid.shape(m), dtype=bool)
-            for groups, src in ((first, prev & firsts), (rest, prev & ~firsts)):
-                for db, _ in groups:
-                    for da in grid.dx:
-                        nxt[grid.child(m, da, db, 0, len(prev))] |= src
+            for db, src in sources:
+                moved = np.zeros((len(prev), nxt.shape[1]), dtype=bool)
+                moved[:, grid.landing(m, 1, db)] = src
+                for da in grid.dx:
+                    nxt[grid.landing(m, 0, da)] |= moved
             reach.append(nxt)
 
-    V = _terminal_layer(grid, phi, steps, terminal)
     if exact_values:
         V = V.astype(np.int64).astype(object)
 
-    # backward induction: a step goes through the rows in blocks of about
-    # _BLOCK_CELLS cells, whose per-law sums stay in cache
+    # backward induction: a step goes through the rows of layer m - 1 in
+    # blocks of about _BLOCK_CELLS cells of layer m, whose per-law sums stay
+    # in cache
     best_of = np.minimum if minimize else np.maximum
 
-    def expectation(V, m: int, groups, r0: int, r1: int, out: np.ndarray) -> None:
-        """Write into ``out`` the best over the groups' laws of the expected
-        layer-m value, on rows r0..r1-1 of layer m - 1; terms are added in
-        outcome order."""
-        rows = max(1, _BLOCK_CELLS // out.shape[1])
-        for b0 in range(r0, r1, rows):
-            b1 = min(b0 + rows, r1)
-            block_out = out[b0 - r0:b1 - r0]
-            for g, (db, terms) in enumerate(groups):
-                (da, p), *more = terms
-                total = p * V[grid.child(m, da, db, b0, b1)]  # a row of values per law
-                for da, p in more:
-                    total += p * V[grid.child(m, da, db, b0, b1)]
-                if g:
-                    best_of(block_out, best_of.reduce(total, axis=0), out=block_out)
-                else:
-                    best_of.reduce(total, axis=0, out=block_out)
+    def expectation(V, m: int, terms, r0: int, r1: int) -> np.ndarray:
+        """The best over a group's laws of the expected layer-m value, on
+        rows r0..r1-1 of layer m - 1 and every column of layer m; terms are
+        added in outcome order."""
+        (da, p), *more = terms
+        total = p * V[grid.landing(m, 0, da, r0, r1)]  # a block of values per law
+        for da, p in more:
+            total += p * V[grid.landing(m, 0, da, r0, r1)]
+        return best_of.reduce(total, axis=0)
 
     kept = [V]
     for m in range(steps, 0, -1):
         nxt = np.empty(grid.shape(m - 1), dtype)
-        # the first groups on the rows up to the largest split, the rest on
-        # the rows from the smallest, copied in past the largest and, between
-        # the two, where a row is at or past its column's split
-        s = splits[m - 1]  # nondecreasing: the statistic falls as b rises
-        lo_s, hi_s, size = int(s[0]), int(s[-1]), len(nxt)
-        expectation(V, m, first, 0, hi_s, nxt[:hi_s])
-        if lo_s < size:
-            tail = np.empty((size - lo_s, nxt.shape[1]), dtype)
-            expectation(V, m, rest, lo_s, size, tail)
-            nxt[hi_s:] = tail[hi_s - lo_s:]
-            np.copyto(nxt[lo_s:hi_s], tail[:hi_s - lo_s], where=np.arange(lo_s, hi_s)[:, None] >= s)
+        block = max(1, _BLOCK_CELLS // V.shape[1])
+        for r0 in range(0, len(nxt), block):
+            r1 = min(r0 + block, len(nxt))
+            out = nxt[r0:r1]
+            for g, (db, terms) in enumerate(groups):
+                F = expectation(V, m, terms, r0, r1)
+                cell = F[:, grid.landing(m, 1, db)]
+                if g:
+                    best_of(out, cell, out=out)
+                else:
+                    out[...] = cell
+                if route.switching:  # the rows at or past their column's split
+                    rows = np.arange(r0, r1)[:, None]
+                    np.copyto(out, F[:, grid.landing(m, 1, rest_db)], where=rows >= splits[m - 1])
         V = nxt
         if keep_layers:
             kept.append(V)
@@ -739,17 +762,16 @@ def product_model_value(
     if n_multisets * n > 200_000:
         raise ValueError("too many law multisets; reduce n or the law count")
     grid = _Lattice(route, n, DEFAULT_MAX_STATES, keep_layers=False)
-    payoff = np.frompyfunc(Fraction, 1, 1)(_terminal_layer(grid, phi, n))
+    payoff = np.frompyfunc(Fraction, 1, 1)(_terminal_layer(grid, phi, n)[1])
     columns = dict(zip((int(b) for b in grid.cols[n]), payoff.T))
 
     def step(dist, j: int):
         """(steps taken, column offset, numerators over the rows) after one
         more step of law j."""
         m, col, P = dist
-        row_lands = grid._lands[m + 1][0]
         nxt = np.zeros(len(grid.rows[m + 1]), dtype=object)
         for da, p in zip(grid.dx, route.weights[j]):
-            nxt[row_lands[da]] += p * P  # a move lands distinct rows on distinct rows
+            nxt[grid.landing(m + 1, 0, da)] += p * P  # a move lands distinct rows on distinct rows
         return m + 1, col + grid.dc[route.centers[j]], nxt
 
     def expectation(dist):

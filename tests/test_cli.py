@@ -231,6 +231,15 @@ class TestErrorsAndExitCodes:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "StateExplosion"
 
+    def test_default_cell_budget_exits_5_at_n_1000(self, capsys):
+        # under the horizon cap, but the lattice fails before any DP work
+        code = run_cli(["dp", "--theorem", "special", "--p", "0.6", "--q", "0.3",
+                        "--a", "-1", "--b", "1", "--n", "1000"])
+        assert code == 5
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "StateExplosion"
+        assert "by step 1000 of 1000" in record["message"]
+
     def test_zero_horizon_monte_carlo_exits_3(self, capsys):
         code = run_cli(["mc", "--theorem", "special", "--p", "0.6", "--q", "0.3",
                         "--a", "-1", "--b", "1", "--n", "0", "--paths", "10"])

@@ -72,8 +72,10 @@ class TestValidateMeasureSet:
                 DiscreteMeasure(VALUES, ("0.4", "0.4", "0.2")),
             )
         )
-        with pytest.raises(VarianceAmbiguous):
-            validate_measure_set(L)
+        # a set that fails keeps no answer: every call raises
+        for _ in range(2):
+            with pytest.raises(VarianceAmbiguous):
+                validate_measure_set(L)
 
     def test_variance_mismatch_below_1e9_rejected(self):
         # variances 81/100 and 8100000001/10000000000: a tolerance of 1e-9
@@ -91,6 +93,22 @@ class TestValidateMeasureSet:
         L = MeasureSet((DiscreteMeasure((2,), ("1",)),))
         with pytest.raises(DegenerateSigma):
             validate_measure_set(L)
+
+    def test_equal_sets_give_equal_intervals(self):
+        L, same = two_law_set(), two_law_set()
+        first = validate_measure_set(L)
+        assert validate_measure_set(L) is first
+        assert validate_measure_set(same) == first
+
+    def test_validation_leaves_equality_and_hashing(self):
+        checked, fresh = two_law_set(), two_law_set()
+        before = hash(checked)
+        validate_measure_set(checked)
+        assert hash(checked) == before == hash(fresh)
+        assert checked == fresh and fresh == checked
+        assert repr(checked) == repr(fresh)
+        assert {checked: 1}[fresh] == 1
+        assert checked == coin_example("3/5", "3/10") != coin_example("0.55", "0.25")
 
     def test_means_lie_in_interval(self):
         L = two_law_set()

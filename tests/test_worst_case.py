@@ -222,6 +222,56 @@ class TestLatticeAgainstEnumeration:
         assert lattice.exact_tests > 0
 
 
+class TestSharedExpectation:
+    """A backward step forms each group's expectation once, over every column
+    of layer m, and each cell reads its center's column from it; a switching
+    rule picks that column by the row's side of the column's split.  These
+    cases take each branch of that step, against the enumeration oracle."""
+
+    ONE_SIDED = (TerminalFunction.left(0), TerminalFunction.right("1/3"))
+    # three laws of variance 81/100 with means -3/10, -1/5 and 3/10: their
+    # centers sit at column offsets 0, 1 and 6, so columns land with gaps
+    UNEVEN = MeasureSet(tuple(three_point_law((-1, 0, 1), mean, "81/100")
+                              for mean in ("-3/10", "-1/5", "3/10")))
+
+    # one indicator endpoint joins the thresholds in one split pass; the
+    # fine unit's outcome sums have gaps, so its rows land through index arrays
+    @pytest.mark.parametrize("center", [0.0, 0.17, math.inf, -math.inf])
+    @pytest.mark.parametrize("variant", ["special", "tilde"])
+    @pytest.mark.parametrize("L", [COIN, coin_example("3/5", "2/5"), "fine"],
+                             ids=["coin", "two-outcome", "fine"])
+    def test_switching_centers_and_one_sided_indicators(self, L, variant, center):
+        from ambiclt.worst_case import _dp_value
+
+        if L == "fine":
+            L = TestFineLatticeUnit.fine()
+        kw = _variant_kwargs(variant, SwitchRule(center, validate_measure_set(L)))
+        for phi in (*self.ONE_SIDED, BOX):
+            for n in range(1, 7):
+                tree = enumerate_worst_case(L, phi, n, variant, **kw)
+                assert _dp_value(L, phi, n, variant, value_mode="exact", **kw) == tree, (phi, n)
+
+    @pytest.mark.parametrize("variant", ["clt", "scaled", "deviation"])
+    def test_law_centers_landing_with_gaps(self, variant):
+        from ambiclt.worst_case import _dp_value, _Lattice, _route
+
+        kw = _variant_kwargs(variant, None)
+        grid = _Lattice(_route(self.UNEVEN, variant, 4, None, "1/2", 2), 4, 10**6, False)
+        assert isinstance(grid.landing(2, 1, 0), np.ndarray)
+        for phi in (*self.ONE_SIDED, BOX):
+            for n in range(1, 5):
+                tree = enumerate_worst_case(self.UNEVEN, phi, n, variant, **kw)
+                assert _dp_value(self.UNEVEN, phi, n, variant, value_mode="exact", **kw) == tree
+
+    def test_exact_tests_of_a_two_endpoint_switching_case(self):
+        # seven cells lie near a threshold or an endpoint, whether the
+        # thresholds and the endpoints are located in one pass or in two
+        for variant in ("special", "tilde"):
+            lattice = dp_lattice(COIN, BOX, 9, variant, value_mode="exact",
+                                 **_variant_kwargs(variant, RULE))
+            assert lattice.exact_tests == 7
+
+
 class TestFineLatticeUnit:
     # outcome values -1, 1/1000, 1: a lattice unit of 1/1000 against a range
     # of 2, but only a few hundred distinct outcome sums per layer
@@ -291,7 +341,7 @@ class TestTerminalLayer:
             x = grid.statistic(m)
             assert repr([float(x[c]) for c in cells]) == repr(
                 [float(grid.state(m, *c)) for c in cells])
-        layer = _terminal_layer(grid, self.SMOOTH, n)
+        _, layer = _terminal_layer(grid, self.SMOOTH, n)
         assert repr([float(layer[c]) for c in cells]) == repr(
             [self.SMOOTH(float(grid.state(n, *c))) for c in cells])
 
@@ -506,6 +556,19 @@ class TestCaps:
     def test_law_mean_variants_share_the_horizon_cap(self):
         # one cap for every variant; clt at n = 100 takes well under a second
         assert 0 < sup_dp_clt(COIN, BOX, 100, value_mode="float") < 1
+
+    # the default budget of 4M cells holds two layers of (2n + 1)(n + 1)
+    # cells up to n = 999, whether the center is the rule's or the law's
+    @pytest.mark.parametrize("variant, center", [("special", 0.0), ("tilde", 0.17),
+                                                 ("clt", None)])
+    def test_default_budget_builds_n_999_not_1000(self, variant, center):
+        from ambiclt.worst_case import DEFAULT_MAX_STATES, _Lattice, _route
+
+        rule = None if center is None else SwitchRule(center, IV)
+        grid = _Lattice(_route(COIN, variant, 999, rule, 1, 1), 999, DEFAULT_MAX_STATES, False)
+        assert grid.shape(999) == (1999, 1000)
+        with pytest.raises(StateExplosion, match="by step 1000 of 1000"):
+            _Lattice(_route(COIN, variant, 1000, rule, 1, 1), 1000, DEFAULT_MAX_STATES, False)
 
     def test_frozen_rule_and_lln_reach_the_horizon_cap(self):
         # one center per step, so a layer is a single column of 2m + 1 cells
@@ -810,6 +873,23 @@ def dict_band_probability(L, n, m, delta, rule):
                                 value_mode="float")
 
 
+def tree_band_probability(L, n, m, delta, rule):
+    """Reference band probability: the (law, outcome) tree of M~ walked over
+    its first m - 1 steps with no state merging, the band tested on each
+    leaf's exact value."""
+    inc = increment("tilde")
+    thr, d = rule.threshold_exact(m, n), Fraction(delta)
+
+    def rec(k, M):
+        if k == m - 1:
+            return Fraction(int(M.cmp(thr - d) >= 0 and M.cmp(thr + d) <= 0))
+        center = rule.mean(M, rule.threshold_exact(k + 1, n), inc.tilde)
+        children = [rec(k + 1, M.shift(*inc.exact(x, center, n))) for x in L.values]
+        return max(sum(p * child for p, child in zip(law.probs, children)) for law in L.laws)
+
+    return rec(0, ExactValue.zero(n * validate_measure_set(L).variance_exact()))
+
+
 class TestBandProbability:
     # at n = 9 the coin's sqrt(n sigma^2) = 27/10 is rational, and the first
     # step from the threshold 0 by outcome 1 reaches 1/9 + (7/10)/(27/10) =
@@ -836,6 +916,19 @@ class TestBandProbability:
         rule_only = dp_lattice(COIN, None, n, "tilde", terminal=lambda u, w: 0.0,
                                **kw).exact_tests
         assert with_band > rule_only
+
+    # m = 1 takes no step (the band holds or fails at the start); m = n
+    # takes every step but the last
+    @pytest.mark.parametrize("L", [COIN, THREE], ids=["coin", "three"])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_first_and_last_band_match_the_tree(self, L, n):
+        for center in (0.0, 0.17):
+            rule = SwitchRule(center, validate_measure_set(L))
+            for delta in (Fraction(1, 10), self.ON_LATTICE):
+                for m in (1, n):
+                    want = tree_band_probability(L, n, m, delta, rule)
+                    got = band_probability_sup(L, n, m, delta, rule)
+                    assert got == pytest.approx(float(want), abs=1e-12), (center, delta, m)
 
     def test_three_laws_off_center(self):
         rule = SwitchRule(0.0, validate_measure_set(THREE))

@@ -30,8 +30,13 @@ tables, JSON and CSV.  Two digests
 cover the dynamic program further: ``dp_layers``, the per-state tables of
 ``dp_lattice`` (every layer's keys and values, and its count of exact
 tests) at n = 5 and 12, and ``dp_float_long``, float ``special`` and
-``tilde`` values at n = 40 and 64 with switching centers 0 and 0.17.  It
-takes about a minute and three quarters on one core.
+``tilde`` values at n = 40 and 64 with switching centers 0 and 0.17.  A
+third, ``dp_float_bench``, covers the float calls of the benchmark's
+``dp_float_large`` workload over its coins and indicator half-widths:
+``clt`` at n = 24, ``lln`` at n = 160, ``special`` on the coin shifted by
++/-1/10 at n = 32, and ``special`` with switching center 0.5 and with a
+smoothed indicator at n = 80.  It takes about a minute on one core of a 2-core
+VM.
 """
 
 from __future__ import annotations
@@ -191,6 +196,25 @@ def dp_float_long(digest):
                             value_mode="float")).encode())
 
 
+def dp_float_bench(digest):
+    for p, q in (("3/5", "3/10"), ("11/25", "7/50")):
+        L = coin_example(p, q)
+        rule, off = (SwitchRule(c, validate_measure_set(L)) for c in (0.0, 0.5))
+        smooth = TerminalFunction.smoothed_indicator(-1, 1, 0.05)
+        values = [worst_case.sup_dp_special(L, smooth, 80, rule, value_mode="float")]
+        for b in ("1", "4/5", "6/5"):
+            phi = TerminalFunction.indicator("-" + b, b)
+            values += [worst_case.sup_dp_clt(L, phi, 24, value_mode="float"),
+                       worst_case.sup_dp_lln(L, phi, 160, value_mode="float"),
+                       worst_case.sup_dp_special(L, phi, 80, off, value_mode="float")]
+            for shift in ("1/10", "-1/10"):
+                shifted = L.shifted(shift)
+                values.append(worst_case.sup_dp_special(
+                    shifted, phi, 32, SwitchRule(0.0, validate_measure_set(shifted)),
+                    value_mode="float"))
+        digest.update(repr(values).encode())
+
+
 def monte_carlo(simulate, estimate):
     default = worst_case._CHUNK_PATHS
     try:
@@ -312,11 +336,13 @@ def main() -> int:
         "dp_exact", "dp_float", "product_model_value", "band_probability_sup",
         "simulate_statistic_values", "mc_policy_value", "size_power_simulation",
         "epsilon_extrapolate", "pde_profiles", "cli_payloads", "fold", "oracle",
-        "dp_layers", "dp_float_long", "hyptest_optimize", "closed_form")}
+        "dp_layers", "dp_float_long", "dp_float_bench", "hyptest_optimize",
+        "closed_form")}
     dynamic_program(digests["dp_exact"], digests["dp_float"],
                     digests["product_model_value"], digests["band_probability_sup"])
     dp_layers(digests["dp_layers"])
     dp_float_long(digests["dp_float_long"])
+    dp_float_bench(digests["dp_float_bench"])
     monte_carlo(digests["simulate_statistic_values"], digests["mc_policy_value"])
     fold(digests["fold"])
     oracle(digests["oracle"])
