@@ -331,8 +331,10 @@ def condition1_diagnostic(
 
     A value near zero supports replacing conditional means by the explicit
     switching means; the caller chooses delta (a sweep is recommended, the
-    diagnostic makes no accept/reject decision).
+    diagnostic makes no accept/reject decision).  ``delta`` is any number
+    :func:`to_fraction` reads, "1/10" among them, and must be positive.
     """
+    delta = to_fraction(delta)
     if not delta > 0:
         raise ValueError("delta must be positive")
     if n < 1:

@@ -33,12 +33,17 @@ take the upper mean are a prefix of the rows under the M-rule and a suffix
 under the M-tilde rule, and a terminal indicator holds on a run of rows.
 Each column's boundaries, every step's threshold and the indicator's
 endpoints, are located from the float statistic in one pass, and only the
-cells whose float statistic lies within a small
-relative margin of the threshold or an endpoint take the exact test: the
-sign of the statistic minus the threshold, from the integer numerators of
-its affine form in (m, a, b), in int64 while the products fit and in Python
-ints past that.  This is an adaptive predicate in the sense of Shewchuk, so
-every decision is the exact one.  A smooth terminal is sampled once on the
+cells whose float statistic lies within a small relative margin of the
+threshold or an endpoint take the exact test: the sign of the statistic
+minus the threshold, from the integer numerators of its affine form in (m,
+a, b), in int64 while the products fit and in Python ints past that.  This
+is an adaptive predicate in the sense of Shewchuk, so every decision is the
+exact one.  The pass reads every layer's size from one array of them and
+builds each column's offsets, and the window of rows around its boundary,
+as flat index arrays: an offset on a gapless run is its index, and a gapped
+layer's offsets come from one array of all such offsets.  So it takes a
+fixed number of array operations for any number of layers, in chunks of
+columns that bound its temporaries.  A smooth terminal is sampled once on the
 whole layer, each cell's statistic being formed as the float of its exact
 value is, from integer numerators.
 
@@ -170,7 +175,8 @@ def _route(L: MeasureSet, variant: str, n: int, rule: SwitchRule | None,
     # only outcomes of positive probability: the laws of a set share their zeros
     keep = [i for i, p in enumerate(L.laws[0].probs) if p]
     D = math.lcm(*(p.denominator for law in L.laws for p in law.probs))
-    weights = [[int(law.probs[i] * D) for i in keep] for law in L.laws]
+    weights = [[law.probs[i].numerator * (D // law.probs[i].denominator) for i in keep]
+               for law in L.laws]
     return _Route(inc, n, s, float(iv.sigma), switching, centers,
                   tuple(L.values[i] for i in keep), weights, D)
 
@@ -195,12 +201,12 @@ def _resolve_value_mode(value_mode: str, phi: TerminalFunction, n: int) -> bool:
 def _lattice_axis(points: Sequence[Fraction]) -> tuple[Fraction, Fraction, list[int]]:
     """(origin, unit, offsets) with point = origin + offset*unit for every
     point, the unit being the largest that makes every offset an integer."""
-    origin = min(points)
-    diffs = [p - origin for p in points]
-    den = math.lcm(*(d.denominator for d in diffs))
-    g = math.gcd(*(d.numerator * (den // d.denominator) for d in diffs))
+    den = math.lcm(*(p.denominator for p in points))
+    ints = [p.numerator * (den // p.denominator) for p in points]
+    low = min(ints)
+    g = math.gcd(*(i - low for i in ints))
     unit = Fraction(g, den) if g else Fraction(1)
-    return origin, unit, [int(d / unit) for d in diffs]
+    return Fraction(low, den), unit, [(i - low) // (g or 1) for i in ints]
 
 
 def _advance(offsets, moves: Sequence[int], gap: int, dtype):
@@ -240,6 +246,15 @@ class _Lattice:
     in layer m on one move, so a backward step can form a law's expectation
     over every column of layer m once and read each cell's center from it.
     A run that stays a run stores no landing: move d takes entry i to i + d.
+
+    The layers are built step by step only while an axis has gaps or may
+    open some.  Once both axes are runs that stay runs, every later layer
+    is a run one widest move longer on each axis, so the rest of the
+    lattice, and its count against ``max_states``, follows in closed form.
+    Each layer's row and column counts are kept in one array, and the
+    offsets of the gapped layers of each axis in one array, which the
+    layers' own offsets are views of: a split pass reads any layer's offsets
+    with a few array operations, an offset on a run being its index.
     """
 
     def __init__(self, route: _Route, steps: int, max_states: int, keep_layers: bool):
@@ -251,14 +266,18 @@ class _Lattice:
         # int64 offsets unless a fine unit could overflow them
         dtype = object if max(self.dx + dc) * steps >= 2**62 else np.int64
         self.rows, self.cols = [range(1)], [range(1)]
-        self._lands = [None]
+        self._lands = [(None, None)]
         # max_states bounds the cells of the layers held at once plus the
         # stored offsets and index arrays.  It counts cells, not bytes: a
         # backward step also holds a few temporaries of a layer's size, and an
         # exact cell is a Python int of about steps*log2(D) bits.
         offsets, cells, size = 0, 1, 1
-        row_gap, col_gap = (max(np.diff(sorted(moves)), default=0) for moves in (self.dx, dc))
-        for m in range(1, steps + 1):
+        row_gap, col_gap = (max((b - a for a, b in zip(d, d[1:])), default=0)
+                            for d in (sorted(self.dx), sorted(dc)))
+        gapped = ([], [])  # the layers whose rows, or columns, have gaps
+        m = 0
+        while m < steps:
+            m += 1
             rows, row_lands = _advance(self.rows[-1], self.dx, row_gap, dtype)
             cols, col_lands = _advance(self.cols[-1], dc, col_gap, dtype)
             self.rows.append(rows)
@@ -267,6 +286,9 @@ class _Lattice:
             if not (isinstance(rows, range) and isinstance(cols, range)):
                 stored = [rows, cols, *(row_lands or {}).values(), *(col_lands or {}).values()]
                 offsets += sum(v.size for v in stored if isinstance(v, np.ndarray))
+                for axis, layer in enumerate((rows, cols)):
+                    if not isinstance(layer, range):
+                        gapped[axis].append(m)
             prev, size = size, len(rows) * len(cols)
             cells = cells + size if keep_layers else size + prev
             if offsets + cells > max_states:
@@ -274,6 +296,36 @@ class _Lattice:
                     f"the lattice holds over max_states={max_states} cells and "
                     f"offsets by step {m} of {steps}"
                 )
+            if row_lands is None and col_lands is None:
+                break  # both axes are runs that stay runs
+        # layer m + k is range(rows + k*widest row move) by range(columns +
+        # k*widest column move)
+        sizes = np.array([[len(r), len(c)] for r, c in zip(self.rows, self.cols)])
+        run = sizes[-1] + np.multiply.outer(np.arange(1, steps - m + 1), [max(self.dx), max(dc)])
+        held = run.prod(axis=1)
+        held = cells + held.cumsum() if keep_layers else held + np.concatenate([[size], held[:-1]])
+        over = np.flatnonzero(offsets + held > max_states)
+        if over.size:
+            raise StateExplosion(
+                f"the lattice holds over max_states={max_states} cells and "
+                f"offsets by step {m + 1 + over[0]} of {steps}"
+            )
+        self.rows += map(range, run[:, 0].tolist())
+        self.cols += map(range, run[:, 1].tolist())
+        self._lands += [(None, None)] * len(run)
+        self._size = np.concatenate([sizes, run]).T  # (rows, columns) of each layer
+        # each axis's gapped layers' offsets end to end, then a 0, and where
+        # each layer starts among them (-1 on a run); the layers become views
+        self._flat, self._start = [], []
+        for axis, layers in enumerate((self.rows, self.cols)):
+            ms = gapped[axis]
+            flat = np.concatenate([*(layers[k] for k in ms), np.zeros(1, dtype)])
+            start = np.full(steps + 1, -1)
+            for k, first in zip(ms, itertools.accumulate((len(layers[k]) for k in ms), initial=0)):
+                start[k] = first
+                layers[k] = flat[first:first + len(layers[k])]
+            self._flat.append(flat)
+            self._start.append(start)
         # float form of the statistic, m*k0 + a*ka + b*kb for offsets (a, b),
         # and a bound on the magnitude of the terms it sums
         d = float(self.inc.drift) / self.n
@@ -304,14 +356,49 @@ class _Lattice:
         sc = m * self.c0 + int(self.cols[m][j]) * self.uc
         return ExactValue.create(*self.inc.exact(sx, sc, self.n), self.s)
 
+    def _offsets(self, axis: int, m: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """The offsets at entries i of layer m's rows (axis 0) or columns
+        (axis 1), i's last axis running along m: i itself on a run, else the
+        layer's sorted offsets at i."""
+        flat = self._flat[axis]
+        offsets = i.astype(flat.dtype)
+        if flat.size > 1:  # some layers have gaps: read their offsets
+            start = self._start[axis][m]
+            gapped = start >= 0
+            offsets[..., gapped] = flat[start[gapped] + i[..., gapped]]
+        return offsets
+
+    def _rows_below(self, m: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """How many row offsets of layer m lie below x, comparing their
+        floats, x's last axis running along m."""
+        # a run's offsets are 0, 1, ..., size - 1
+        count = np.minimum(np.maximum(np.ceil(x), 0), self._size[0][m]).astype(np.intp)
+        flat, start = self._flat[0], self._start[0]
+        if flat.size > 1:  # some layers have gaps: search their offsets
+            # as layer + 1j*offset, since complex numbers sort by their real
+            # part first: one search finds an offset among its layer's rows
+            layers = np.flatnonzero(start >= 0)
+            keys = np.repeat(layers, self._size[0][layers]) + 1j * flat[:-1].astype(float)
+            start = start[m]
+            gapped = start >= 0
+            count[..., gapped] = (np.searchsorted(keys, m[gapped] + 1j * x[..., gapped])
+                                  - start[gapped])
+        return count
+
     @cached_property
     def _integer_form(self):
         """The statistic in integers: u = (m*U0 + a*Ua)/du and w = (m*W0 +
         a*Wa + b*Wb)/dw for offsets (a, b), and sqrt(s) = sqrt(R)/s.denominator
         with R's integer root, or None."""
-        drift, noise = self.inc.drift, self.inc.noise
-        u = _common_denominator(drift * self.x0 / self.n, drift * self.ux / self.n)
-        w = _common_denominator(noise * (self.x0 - self.c0), noise * self.ux, -noise * self.uc)
+        # every rational as (numerator, denominator), to form the
+        # coefficients in integers: u's are drift*x0/n and drift*ux/n, w's
+        # noise*(x0 - c0), noise*ux and -noise*uc
+        (dn, dd), (nn, nd), (x0, x0d), (ux, uxd), (c0, c0d), (uc, ucd) = (
+            (c.numerator, c.denominator)
+            for c in (self.inc.drift, self.inc.noise, self.x0, self.ux, self.c0, self.uc))
+        u = _common_denominator((dn * x0, dd * x0d * self.n), (dn * ux, dd * uxd * self.n))
+        w = _common_denominator((nn * (x0 * c0d - c0 * x0d), nd * x0d * c0d), (nn * ux, nd * uxd),
+                                (-nn * uc, nd * ucd))
         R = self.s.numerator * self.s.denominator
         root = math.isqrt(R)
         return u, w, R, (root if root * root == R else None)
@@ -325,7 +412,8 @@ class _Lattice:
         # statistic - pt/qt = A/(du*qt) + B/(dw*sqrt(s)), which times the
         # positive du*qt*dw*s.numerator is Y + X*sqrt(R): Y = A*cy, X = B*du*qt
         cy = dw * self.s.numerator
-        big_m, big_a, big_b, big_p, big_q = (int(np.max(np.abs(v))) for v in (m, a, b, pt, qt))
+        big_m, big_a, big_b, big_p, big_q = (int(abs(np.asarray(v).ravel()).max())
+                                             for v in (m, a, b, pt, qt))
         x_max = (big_m * abs(W0) + big_a * abs(Wa) + big_b * abs(Wb)) * du * big_q
         y_max = ((big_m * abs(U0) + big_a * abs(Ua)) * big_q + big_p * du) * cy
         big = y_max + x_max * root if root is not None else max(x_max * x_max * R, y_max * y_max)
@@ -347,63 +435,59 @@ class _Lattice:
         statistic rises with the row offset, so these rows are a prefix of
         the column.  The float statistic locates each column's boundary, and
         only the cells within FILTER_MARGIN of t, relative to the magnitudes
-        summed, take the exact sign test.  Layers go in chunks of about
-        _SPLIT_COLUMNS columns, which bounds the temporaries."""
-        out, first, columns = [], 0, 0
-        for k, m in enumerate(layers):
-            columns += len(self.cols[m])
-            if columns >= _SPLIT_COLUMNS or k == len(layers) - 1:
-                chunk = slice(first, k + 1)
-                out += self._splits(layers[chunk], t[chunk], t_exact[chunk], inclusive[chunk])
-                first, columns = k + 1, 0
+        summed, take the exact sign test.  An entry goes in the chunk of
+        _SPLIT_COLUMNS columns its first column falls in, which bounds the
+        temporaries; a chunk takes a fixed number of array operations,
+        however many layers it holds."""
+        layers = np.asarray(layers, dtype=np.intp)
+        widths = self._size[1][layers]
+        first = np.cumsum(widths) - widths  # each entry's first column
+        cuts = np.searchsorted(first, range(0, int(first[-1]) + 1, _SPLIT_COLUMNS)).tolist()
+        out = []
+        for i, j in zip(cuts, [*cuts[1:], len(layers)]):
+            if i < j:
+                out += self._splits(layers[i:j], t[i:j], t_exact[i:j], inclusive[i:j])
         return out
 
     def _splits(self, layers, t, t_exact, inclusive) -> list[np.ndarray]:
-        rows = [_float_offsets(self.rows[m]) for m in layers]
-        sizes = [len(r) for r in rows]
-        widths = [len(self.cols[m]) for m in layers]
-        ends = list(itertools.accumulate(widths, initial=0))  # each entry's columns
+        widths = self._size[1][layers]
+        ends = np.cumsum(widths)  # past each entry's last column
         at_layer = np.repeat(np.arange(len(layers)), widths)  # each column's entry
-        mf, tf, size, top, incl, first = (np.array(v)[at_layer] for v in (
-            [float(m) for m in layers], t, sizes, [r[-1] for r in rows], inclusive,
-            list(itertools.accumulate(sizes[:-1], initial=0))))
-        bf = np.concatenate([_float_offsets(self.cols[m]) for m in layers])
+        m = layers[at_layer]
+        b = self._offsets(1, m, np.arange(ends[-1]) - (ends - widths)[at_layer])
+        tf, incl = np.asarray(t, dtype=float)[at_layer], np.asarray(inclusive)[at_layer]
+        size = self._size[0][m]
+        mf, bf = m.astype(float), b.astype(float)
+        top = mf * float(max(self.dx))  # the widest move m times: the layer's last row
         (k0, ka, kb), (g0, ga, gb) = self._coef, self._mag
         # the row offset at which each column's float statistic meets t, and
         # a half-width that holds every cell within the margin, a row to spare
         mk, bk, mg, bg, ta = mf * k0, bf * kb, mf * g0, bf * gb, np.abs(tf)
         at = (tf - (mk + bk)) / ka
         half = (mg + top * ga + bg + ta) * (2 * FILTER_MARGIN / ka) + 1
-        # the first row at or above at - half, and the most rows a window holds
-        if all(isinstance(self.rows[m], range) for m in layers):
-            lo = np.minimum(np.maximum(np.ceil(at - half), 0), size).astype(np.intp)
-            width = min(int(2 * half.max()) + 2, max(sizes))
-        else:
-            lo, end = (np.concatenate([np.searchsorted(r, x[i:j], side=side)
-                                       for r, i, j in zip(rows, ends, ends[1:])])
-                       for x, side in ((at - half, "left"), (at + half, "right")))
-            width = int((end - lo).max())
-        # the candidate cells: rows lo, lo + 1, ... of every column; rows past
-        # the window are far above t, so their float test is exact
+        # the candidate cells: rows lo, lo + 1, ... of every column, as many
+        # as the widest window holds; rows outside a column's window are far
+        # from t, so their float test is exact
+        lo, end = self._rows_below(m, np.stack([at - half, at + half]))
+        width = int((end - lo).max())
         i = lo + np.arange(width)[:, None]
         inside = i < size
         i = np.minimum(i, size - 1)
-        a = np.concatenate(rows)[first + i]
-        value = mk + a * ka + bk
+        a = self._offsets(0, m, i)
+        af = a.astype(float)
+        value = mk + af * ka + bk
         below = np.where(incl, value <= tf, value < tf)
-        near = np.abs(value - tf) <= FILTER_MARGIN * (mg + a * ga + bg + ta)
+        near = np.abs(value - tf) <= FILTER_MARGIN * (mg + af * ga + bg + ta)
         ii, jj = np.nonzero(near & inside)
         if ii.size:
-            k = at_layer[jj]
-            a_int = np.concatenate([_int_offsets(self.rows[m]) for m in layers])
-            b_int = np.concatenate([_int_offsets(self.cols[m]) for m in layers])
-            pt, qt = (np.array(v, dtype=object)[k] for v in zip(*(
-                (q.numerator, q.denominator) for q in t_exact)))
-            sign = self.sign(np.array(layers)[k], a_int[first[jj] + i[ii, jj]], b_int[jj], pt, qt)
+            q = np.asarray(t_exact, dtype=object)[at_layer[jj]]
+            sign = self.sign(m[jj], a[ii, jj], b[jj], [x.numerator for x in q],
+                             [x.denominator for x in q])
             below[ii, jj] = sign < incl[jj]  # sign <= 0 where inclusive, else sign < 0
             self.exact_tests += ii.size
         counts = lo + (below & inside).sum(axis=0)
-        return [counts[i:j] for i, j in zip(ends, ends[1:])]
+        ends = ends.tolist()
+        return [counts[s:e] for s, e in zip([0, *ends], ends)]
 
     def statistic(self, m: int) -> np.ndarray:
         """``float(self.state(m, i, j))`` of every cell of layer m."""
@@ -417,20 +501,13 @@ class _Lattice:
                 + _rounded(dw, m * W0, Wa, Wb, rows, cols) / math.sqrt(float(self.s)))
 
 
-def _common_denominator(*coef) -> tuple[int, ...]:
-    """(den, k0, k1, ...) with coefficient i = k_i/den for rational coefficients."""
-    den = math.lcm(*(c.denominator for c in coef))
-    return (den, *(int(c * den) for c in coef))
-
-
-def _float_offsets(offsets) -> np.ndarray:
-    if isinstance(offsets, range):
-        return np.arange(len(offsets), dtype=float)
-    return offsets.astype(float)
-
-
-def _int_offsets(offsets) -> np.ndarray:
-    return np.arange(len(offsets)) if isinstance(offsets, range) else offsets
+def _common_denominator(*coef: tuple[int, int]) -> tuple[int, ...]:
+    """(den, k0, k1, ...) in lowest terms with coefficient i = k_i/den, for
+    coefficients given as (numerator, positive denominator) pairs."""
+    den = math.lcm(*(d for _, d in coef))
+    k = [n * (den // d) for n, d in coef]
+    g = math.gcd(den, *k)
+    return (den // g, *(x // g for x in k))
 
 
 def _rounded(den: int, k0: int, ka: int, kb: int, rows, cols) -> np.ndarray:
@@ -447,20 +524,21 @@ def _rounded(den: int, k0: int, ka: int, kb: int, rows, cols) -> np.ndarray:
 
 
 def _terminal_layer(grid: _Lattice, phi: TerminalFunction | None, m: int,
-                    terminal: Callable | None = None, entries: Sequence = ()):
+                    terminal: Callable | None = None, entries=((), (), (), ())):
     """(the counts ``grid.splits`` gives for ``entries``, the float payoff of
     every cell of layer m): ``terminal(u, w)`` of the cell's exact key when
-    given, else phi of its statistic.  An indicator is decided exactly, in
-    the same ``splits`` call as the (layer, t, t_exact, inclusive) entries."""
-    ends = []
+    given, else phi of its statistic.  ``entries`` holds the layers, t,
+    t_exact and inclusive arguments of ``splits``.  An indicator is decided
+    exactly, in the same ``splits`` call."""
+    requests = entries
     if terminal is None and phi.supports_exact:
         # the indicator of [a, b] holds on rows lo..hi-1 of each column: lo
         # counts the rows below a, hi those at or below b
-        ends = [(m, t, t_exact, inclusive) for t, t_exact, inclusive in (
-            (phi.a, phi.a_exact, False), (phi.b, phi.b_exact, True)) if t_exact is not None]
-    requests = [*entries, *ends]
-    counts = grid.splits(*zip(*requests)) if requests else []
-    decided, counts = counts[:len(entries)], counts[len(entries):]
+        for end in ((phi.a, phi.a_exact, False), (phi.b, phi.b_exact, True)):
+            if end[1] is not None:
+                requests = [[*column, value] for column, value in zip(requests, (m, *end))]
+    counts = grid.splits(*requests) if len(requests[0]) else []
+    decided, counts = counts[:len(entries[0])], counts[len(entries[0]):]
     if terminal is not None:
         V = np.empty(grid.shape(m))
         for a, b in np.ndindex(V.shape):
@@ -529,14 +607,15 @@ def _dp_value(
     # the other rows at the ``rest`` center's.  Under the M-rule the cells at
     # or below the step's threshold take the upper mean, under the M-tilde
     # rule the cells below it the lower one: either way a prefix.
-    entries = []
+    entries = ((), (), (), ())
     if route.switching:
         lo_mu, hi_mu = centers
         first_mu, rest_mu = (lo_mu, hi_mu) if inc.tilde else (hi_mu, lo_mu)
         groups = grouped([first_mu] * len(weights))
         rest_db = grid.dc[rest_mu]
         thresholds, float_thresholds = rule._thresholds(n)
-        entries = [(m, float_thresholds[m], thresholds[m], not inc.tilde) for m in range(steps)]
+        entries = (range(steps), float_thresholds[:steps], thresholds[:steps],
+                   [not inc.tilde] * steps)
     else:
         groups = grouped(centers)
     splits, V = _terminal_layer(grid, phi, steps, terminal, entries)

@@ -399,9 +399,16 @@ class TestCondition1Diagnostic:
         vals = [condition1_diagnostic(COIN, 20, d, RULE) for d in (0.02, 0.1, 0.2)]
         assert 0.0 <= vals[0] <= vals[1] <= vals[2] <= 0.6 + 1e-12
 
-    def test_delta_must_be_positive(self):
-        with pytest.raises(ValueError):
-            condition1_diagnostic(COIN, 5, 0.0, RULE)
+    @pytest.mark.parametrize("delta", [0, 0.0, -1, "-1/10", "0"])
+    def test_delta_must_be_positive(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            condition1_diagnostic(COIN, 5, delta, RULE)
+
+    def test_delta_reads_like_the_band_probability(self):
+        # a "p/q" string is the Fraction it names, as band_probability_sup reads it
+        value = condition1_diagnostic(COIN, 6, "1/10", RULE)
+        assert value == condition1_diagnostic(COIN, 6, Fraction(1, 10), RULE) > 0
+        assert condition1_diagnostic(COIN, 6, "0.1", RULE) == value
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_horizon_must_be_positive(self, n):

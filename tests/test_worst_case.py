@@ -386,6 +386,157 @@ class TestExactSign:
         assert ties > 0
 
 
+def stepwise_lattice(moves, steps):
+    """Each layer's sorted offsets on one axis, one step at a time, and where
+    each move lands the previous layer's offsets: a list of positions."""
+    layers, lands = [[0]], [None]
+    for _ in range(steps):
+        prev = layers[-1]
+        layer = sorted({a + d for a in prev for d in moves})
+        where = {a: i for i, a in enumerate(layer)}
+        layers.append(layer)
+        lands.append({d: [where[a + d] for a in prev] for d in moves})
+    return layers, lands
+
+
+def stepwise_held(rows, cols, row_lands, col_lands, keep_layers):
+    """For each step, the cells and stored offsets that the lattice counts
+    against ``max_states`` by then: a layer with a gapped axis stores its
+    gapped offsets and every landing that is not a contiguous run."""
+    def run(layer):
+        return layer == list(range(len(layer)))
+
+    def gathered(lands):
+        return sum(len(p) for p in lands.values() if p != list(range(p[0], p[0] + len(p))))
+
+    totals, offsets, cells, size = [], 0, 1, 1
+    for m in range(1, len(rows)):
+        if not (run(rows[m]) and run(cols[m])):
+            offsets += sum(len(layer) for layer in (rows[m], cols[m]) if not run(layer))
+            offsets += gathered(row_lands[m]) + gathered(col_lands[m])
+        prev, size = size, len(rows[m]) * len(cols[m])
+        cells = cells + size if keep_layers else size + prev
+        totals.append(offsets + cells)
+    return totals
+
+
+class TestSplits:
+    """``_Lattice.splits`` against a cell-by-cell exact count, and the
+    lattice's offsets against a step-by-step reference."""
+
+    TINY = TestFineLatticeUnit.fine("1/1000000000000000000")
+    # outcome offsets 0, 1, 3 and 4: the rows have a gap after one step and
+    # none after two
+    CLOSING = MeasureSet(tuple(DiscreteMeasure((-1, "-1/2", "1/2", 1), probs) for probs in (
+        ("1/10", "1/5", "3/10", "2/5"), ("2/5", "3/10", "1/5", "1/10"))))
+    # (set, variant, horizon): the 1/1000 unit has gapped rows, the uneven
+    # means gapped columns, and the 10**-18 unit Python-int offsets
+    CASES = [(COIN, "special", 9), (COIN.shifted("1/10"), "tilde", 7),
+             (TestFineLatticeUnit.fine(), "special", 5),
+             (TestSharedExpectation.UNEVEN, "clt", 4), (TINY, "special", 4),
+             (CLOSING, "special", 6)]
+    IDS = ["coin", "shifted", "fine", "uneven", "tiny", "closing"]
+
+    @staticmethod
+    def route(L, variant, n):
+        from ambiclt.worst_case import _route
+
+        rule = SwitchRule(0.0, validate_measure_set(L)) if variant in ("special", "tilde") else None
+        return _route(L, variant, n, rule, 1, 1)
+
+    def grid(self, L, variant, n):
+        from ambiclt.worst_case import _Lattice
+
+        return _Lattice(self.route(L, variant, n), n, 10**6, False)
+
+    @staticmethod
+    def entries(grid, n):
+        """(layer, t_exact) over every layer: values far outside the layer,
+        two off the lattice, and the least, a middle and the greatest
+        rational statistic value of the layer, on a lattice point."""
+        out = []
+        for m in range(n + 1):
+            rational = sorted({s.u for s in (grid.state(m, *c) for c in np.ndindex(grid.shape(m)))
+                               if s.w == 0})
+            picks = rational[::max(1, len(rational) // 2)] + rational[-1:]
+            for t in sorted({Fraction(-10), Fraction(-2, 7), Fraction(1, 3), Fraction(10), *picks}):
+                out.append((m, t))
+        return out
+
+    @staticmethod
+    def reference(grid, entries, inclusive):
+        """The count below (at or below) t in each column, by ExactValue.cmp,
+        and the cells whose float statistic lies within the filter's margin
+        of t."""
+        from ambiclt._exact import FILTER_MARGIN
+
+        (k0, ka, kb), (g0, ga, gb) = grid._coef, grid._mag
+        counts, near = [], 0
+        for m, t in entries:
+            tf = float(t)
+            column = []
+            for j, b in enumerate(grid.cols[m]):
+                signs = [grid.state(m, i, j).cmp(t) for i in range(len(grid.rows[m]))]
+                below = [s < 0 or (inclusive and s == 0) for s in signs]
+                assert below == sorted(below, reverse=True)  # a prefix of the column
+                column.append(sum(below))
+                for a in grid.rows[m]:
+                    a, bf = float(a), float(b)
+                    value = float(m) * k0 + a * ka + bf * kb
+                    bound = float(m) * g0 + a * ga + bf * gb + abs(tf)
+                    near += abs(value - tf) <= FILTER_MARGIN * bound
+            counts.append(column)
+        return counts, near
+
+    @pytest.mark.parametrize("chunk", [None, 3, 1])
+    @pytest.mark.parametrize("inclusive", [False, True])
+    @pytest.mark.parametrize("L, variant, n", CASES, ids=IDS)
+    def test_counts_and_exact_tests_match_each_cell(self, L, variant, n, inclusive, chunk,
+                                                    monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(worst_case, "_SPLIT_COLUMNS", chunk)
+        grid = self.grid(L, variant, n)
+        python_ints = isinstance(grid.rows[n], np.ndarray) and grid.rows[n].dtype == object
+        assert python_ints == (L is self.TINY)
+        entries = self.entries(grid, n)
+        want, near = self.reference(grid, entries, inclusive)
+        layers, ts = zip(*entries)
+        got = grid.splits(layers, [float(t) for t in ts], ts, [inclusive] * len(entries))
+        assert [list(map(int, c)) for c in got] == want
+        assert grid.exact_tests == near > 0
+
+    @pytest.mark.parametrize("keep_layers", [False, True])
+    @pytest.mark.parametrize("L, variant, n", CASES + [(COIN, "clt", 6)], ids=IDS + ["coin-clt"])
+    def test_offsets_landings_and_budget_match_the_steps(self, L, variant, n, keep_layers):
+        from ambiclt.worst_case import _Lattice
+
+        grid = self.grid(L, variant, n)
+        rows, row_lands = stepwise_lattice(grid.dx, n)
+        cols, col_lands = stepwise_lattice(sorted(set(grid.dc.values())), n)
+        for m in range(n + 1):
+            assert [int(a) for a in grid.rows[m]] == rows[m]
+            assert [int(b) for b in grid.cols[m]] == cols[m]
+            assert isinstance(grid.rows[m], range) == (rows[m] == list(range(len(rows[m]))))
+            assert isinstance(grid.cols[m], range) == (cols[m] == list(range(len(cols[m]))))
+            if m:
+                for axis, layers, lands in ((0, rows, row_lands), (1, cols, col_lands)):
+                    for d, want in lands[m].items():
+                        got = np.arange(len(layers[m]))[grid.landing(m, axis, d)]
+                        assert got.tolist() == want, (m, axis, d)
+                        half = len(want) // 2
+                        got = np.arange(len(layers[m]))[grid.landing(m, axis, d, half)]
+                        assert got.tolist() == want[half:], (m, axis, d)
+        if L is self.CLOSING:
+            assert isinstance(grid.rows[2], range) and not isinstance(grid.rows[1], range)
+        totals = stepwise_held(rows, cols, row_lands, col_lands, keep_layers)
+        route = self.route(L, variant, n)
+        _Lattice(route, n, totals[-1], keep_layers)
+        for budget in {totals[0] - 1, totals[n // 2] - 1, totals[-1] - 1}:
+            step = next(m for m, total in enumerate(totals, 1) if total > budget)
+            with pytest.raises(StateExplosion, match=f"by step {step} of {n}$"):
+                _Lattice(route, n, budget, keep_layers)
+
+
 def run_route(route, variant="clt", n=3, rule=None, paths=10):
     """Call one of the four routes on the coin with the box payoff."""
     if route == "dp":

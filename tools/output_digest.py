@@ -35,8 +35,13 @@ third, ``dp_float_bench``, covers the float calls of the benchmark's
 ``dp_float_large`` workload over its coins and indicator half-widths:
 ``clt`` at n = 24, ``lln`` at n = 160, ``special`` on the coin shifted by
 +/-1/10 at n = 32, and ``special`` with switching center 0.5 and with a
-smoothed indicator at n = 80.  It takes about a minute on one core of a 2-core
-VM.
+smoothed indicator at n = 80.  ``dp_exact_long`` takes exact ``special`` and
+``tilde`` to n = 24 and 40 on the coin and the shifted coin (switching
+centers 0 and 0.17, every sharp payoff), where many more cells take the exact
+sign test than at n <= 12, and ``condition1`` covers
+``condition1_diagnostic`` on the DP's sets at n = 9 and 24 (centers 0 and
+0.17, delta 1/10, 10/27 and 10**-30).  It takes about 80 s on one core
+of a 2-core VM.
 """
 
 from __future__ import annotations
@@ -52,8 +57,8 @@ import numpy as np
 from ambiclt import cli, closed_form, hyptest, pde, worst_case
 from ambiclt.measures import (DiscreteMeasure, MeasureSet, coin_example, interval,
                               validate_measure_set)
-from ambiclt.statistics import (VARIANT_M, VARIANT_TILDE, SwitchRule, path_statistic,
-                                statistic_trace)
+from ambiclt.statistics import (VARIANT_M, VARIANT_TILDE, SwitchRule, condition1_diagnostic,
+                                path_statistic, statistic_trace)
 from ambiclt.terminal import TerminalFunction
 
 COIN = coin_example("3/5", "3/10")
@@ -215,6 +220,29 @@ def dp_float_bench(digest):
         digest.update(repr(values).encode())
 
 
+def dp_exact_long(digest):
+    for L in DP_SETS[:2]:
+        iv = validate_measure_set(L)
+        for center in (0.0, 0.17):
+            rule = SwitchRule(center, iv)
+            for variant in ("special", "tilde"):
+                for n in (24, 40):
+                    for phi in SHARP:
+                        digest.update(repr(worst_case._dp_value(
+                            L, phi, n, variant, rule=rule, minimize=variant == "tilde",
+                            value_mode="exact")).encode())
+
+
+def condition1(digest):
+    for L in DP_SETS:
+        iv = validate_measure_set(L)
+        for center in (0.0, 0.17):
+            rule = SwitchRule(center, iv)
+            for n in (9, 24):
+                for delta in (Fraction(1, 10), Fraction(10, 27), Fraction(1, 10**30)):
+                    digest.update(repr(condition1_diagnostic(L, n, delta, rule)).encode())
+
+
 def monte_carlo(simulate, estimate):
     default = worst_case._CHUNK_PATHS
     try:
@@ -336,13 +364,15 @@ def main() -> int:
         "dp_exact", "dp_float", "product_model_value", "band_probability_sup",
         "simulate_statistic_values", "mc_policy_value", "size_power_simulation",
         "epsilon_extrapolate", "pde_profiles", "cli_payloads", "fold", "oracle",
-        "dp_layers", "dp_float_long", "dp_float_bench", "hyptest_optimize",
-        "closed_form")}
+        "dp_layers", "dp_float_long", "dp_float_bench", "dp_exact_long", "condition1",
+        "hyptest_optimize", "closed_form")}
     dynamic_program(digests["dp_exact"], digests["dp_float"],
                     digests["product_model_value"], digests["band_probability_sup"])
     dp_layers(digests["dp_layers"])
     dp_float_long(digests["dp_float_long"])
     dp_float_bench(digests["dp_float_bench"])
+    dp_exact_long(digests["dp_exact_long"])
+    condition1(digests["condition1"])
     monte_carlo(digests["simulate_statistic_values"], digests["mc_policy_value"])
     fold(digests["fold"])
     oracle(digests["oracle"])
