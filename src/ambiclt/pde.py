@@ -352,8 +352,6 @@ def monotone_reduction(phi: TerminalFunction, iv: AmbiguityInterval) -> float:
     rises.  With both endpoints infinite the payoff is constant and is
     returned; with both finite it rises and falls, and NotMonotone is raised.
     """
-    if phi.kind == "tabulated":
-        raise TypeError("tabulated terminal has no endpoints")
     falls, rises = math.isinf(phi.a), math.isinf(phi.b)
     if falls and rises:
         return phi(0.0)

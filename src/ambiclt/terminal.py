@@ -1,13 +1,13 @@
 """Terminal payoff functions shared by the dynamic programs and the PDE solver.
 
-There are three kinds: interval indicators, their Gaussian mollifications,
-and grid-tabulated values.  A one-sided indicator is an interval indicator
-with an infinite endpoint.  Mollification replaces the indicator of [a, b]
-by its Gaussian smoothing at bandwidth h, which has the closed form
-Phi((b-x)/h) - Phi((a-x)/h); it is symmetric about (a+b)/2 with slope sign
-opposite to x - center, exactly the shape the switching rules are built for.
+A payoff is the indicator of an interval [a, b] at a bandwidth h >= 0.  At
+h = 0 it is the sharp indicator; a one-sided indicator has an infinite
+endpoint.  At h > 0 it is the indicator's Gaussian mollification, which has
+the closed form Phi((b-x)/h) - Phi((a-x)/h); it is symmetric about (a+b)/2
+with slope sign opposite to x - center, exactly the shape the switching
+rules are built for.
 
-Indicators also evaluate *exactly* at exact statistic values, so the
+Sharp indicators also evaluate *exactly* at exact statistic values, so the
 enumeration oracle classifies boundary atoms without rounding; the dynamic
 program tests its cells against the exact endpoints ``a_exact`` and
 ``b_exact`` itself.
@@ -30,13 +30,12 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class TerminalFunction:
-    """Descriptor of the payoff applied to the terminal statistic value."""
+    """The payoff applied to the terminal statistic value: the indicator of
+    [a, b] at bandwidth h, sharp at h = 0."""
 
-    kind: str
-    a: float = math.nan
-    b: float = math.nan
-    h: float = math.nan
-    values: tuple[float, ...] | None = None
+    a: float
+    b: float
+    h: float
     a_exact: Fraction | None = None
     b_exact: Fraction | None = None
 
@@ -57,7 +56,7 @@ class TerminalFunction:
         # compared exactly where possible: close endpoints may round together
         if not (af if a_exact is None else a_exact) < (bf if b_exact is None else b_exact):
             raise ValueError(f"need a < b, got {a!r}, {b!r}")
-        return cls("indicator", a=af, b=bf, a_exact=a_exact, b_exact=b_exact)
+        return cls(af, bf, 0.0, a_exact, b_exact)
 
     @classmethod
     def left(cls, b) -> "TerminalFunction":
@@ -80,31 +79,21 @@ class TerminalFunction:
             raise ValueError(f"need a < b, got {a!r}, {b!r}")
         if not h > 0:
             raise ValueError("bandwidth h must be positive")
-        return cls("smoothed_indicator", a=af, b=bf, h=float(h))
-
-    @classmethod
-    def tabulated(cls, values) -> "TerminalFunction":
-        """Values sampled on the solver grid; usable only on that grid.  Its
-        :attr:`center` is None."""
-        vals = tuple(float(v) for v in values)
-        if not vals:
-            raise ValueError("tabulated terminal needs values")
-        return cls("tabulated", values=vals)
+        return cls(af, bf, float(h))
 
     # -- shape metadata ----------------------------------------------------
 
     @property
     def center(self) -> float | None:
-        if self.kind in ("indicator", "smoothed_indicator"):
-            if math.isinf(self.a) or math.isinf(self.b):
-                return None
-            return 0.5 * (self.a + self.b)
-        return None
+        """The midpoint of [a, b]; None for a one-sided payoff."""
+        if math.isinf(self.a) or math.isinf(self.b):
+            return None
+        return 0.5 * (self.a + self.b)
 
     @property
     def supports_exact(self) -> bool:
         """True for a sharp indicator, which evaluates exactly."""
-        return self.kind == "indicator"
+        return self.h == 0
 
     def breakpoints(self) -> tuple[float, ...]:
         """Kink/jump locations, for adaptive quadrature."""
@@ -113,31 +102,23 @@ class TerminalFunction:
     # -- evaluation ---------------------------------------------------------
 
     def sample(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate on an array of points (tabulated: must match the grid)."""
+        """Evaluate on an array of points."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "indicator":
+        if self.h == 0:
             return ((x >= self.a) & (x <= self.b)).astype(float)
-        if self.kind == "smoothed_indicator":
-            hi = scipy.special.ndtr((self.b - x) / self.h) if math.isfinite(self.b) else np.ones_like(x)
-            lo = scipy.special.ndtr((self.a - x) / self.h) if math.isfinite(self.a) else np.zeros_like(x)
-            return np.asarray(hi - lo, dtype=float)
-        if self.kind == "tabulated":
-            if x.shape != (len(self.values),):
-                raise TypeError("tabulated terminal cannot be evaluated off-grid")
-            return np.asarray(self.values, dtype=float)
-        raise ValueError(f"unknown kind {self.kind!r}")
+        hi = scipy.special.ndtr((self.b - x) / self.h) if math.isfinite(self.b) else np.ones_like(x)
+        lo = scipy.special.ndtr((self.a - x) / self.h) if math.isfinite(self.a) else np.zeros_like(x)
+        return np.asarray(hi - lo, dtype=float)
 
     def __call__(self, x: float) -> float:
-        if self.kind == "tabulated":
-            raise TypeError("tabulated terminal cannot be evaluated off-grid")
         return float(self.sample(np.asarray([x]))[0])
 
     def evaluate_exact(self, value: ExactValue) -> Fraction:
         """Exact 0/1 classification of an exact statistic value."""
-        if self.kind == "indicator":
-            if self.a_exact is not None and value.cmp(self.a_exact) < 0:
-                return _ZERO
-            if self.b_exact is not None and value.cmp(self.b_exact) > 0:
-                return _ZERO
-            return _ONE
-        raise TypeError(f"{self.kind!r} terminal has no exact evaluation")
+        if self.h:
+            raise TypeError("a smoothed indicator has no exact evaluation")
+        if self.a_exact is not None and value.cmp(self.a_exact) < 0:
+            return _ZERO
+        if self.b_exact is not None and value.cmp(self.b_exact) > 0:
+            return _ZERO
+        return _ONE

@@ -101,14 +101,12 @@ class DpLattice:
     """Per-step value table of one dynamic-program run.
 
     ``layers[m]`` maps each reachable exact state key (u, w), meaning
-    u + w/sqrt(scale), to its continuation value; ``layers[n]`` is the
-    terminal payoff itself and ``layers[0]`` holds the single root value.
+    u + w/sqrt(scale), to its continuation value; the last layer is the
+    terminal payoff and ``layers[0]`` holds the single root value.
     ``exact_tests`` counts the exact sign tests the float filter left to
     integer arithmetic: one per cell and threshold or indicator endpoint.
     """
 
-    variant: str
-    n: int
     scale: Fraction
     layers: tuple[dict, ...]
     exact_tests: int = 0
@@ -185,7 +183,7 @@ def _resolve_value_mode(value_mode: str, phi: TerminalFunction, n: int) -> bool:
     """True for exact Fraction values, False for float values."""
     if value_mode == "exact":
         if not phi.supports_exact:
-            raise ValueError("exact value mode needs an indicator-kind terminal")
+            raise ValueError("exact value mode needs a sharp indicator terminal")
         return True
     if value_mode == "float":
         return False
@@ -688,7 +686,7 @@ def _dp_value(
     for m, (V, R) in enumerate(zip(reversed(kept), reach)):
         layers.append({grid.state(m, a, b).key(): value(V, m, a, b)
                        for a, b in zip(*np.nonzero(R))})
-    return DpLattice(variant, steps, route.s, tuple(layers), grid.exact_tests)
+    return DpLattice(route.s, tuple(layers), grid.exact_tests)
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +775,7 @@ def enumerate_worst_case(
     if n > 10:
         raise ValueError("enumeration is exponential; use n <= 10")
     if not phi.supports_exact:
-        raise ValueError("enumeration oracle needs an indicator-kind terminal")
+        raise ValueError("enumeration oracle needs a sharp indicator terminal")
     inc, D, s = route.inc, route.D, route.s
     root = sqrt_exact(s)
     thresholds = rule._thresholds(n)[0] if inc.switching else None
@@ -919,14 +917,6 @@ class DriftPolicy:
     def alternating(cls, n_laws: int) -> "DriftPolicy":
         return cls(lambda m, M, n: np.full(M.shape, (m - 1) % n_laws, dtype=int),
                    "alternating")
-
-    @classmethod
-    def from_table(cls, table: dict[int, int], default: int = 0) -> "DriftPolicy":
-        """Law index per step from a table keyed by m (gaps use ``default``)."""
-        def fn(m, M, n):
-            return np.full(M.shape, table.get(m, default), dtype=int)
-
-        return cls(fn, "table")
 
 
 def builtin_policies(L: MeasureSet, rule: SwitchRule) -> list[DriftPolicy]:
@@ -1094,24 +1084,19 @@ def convergence_report(
     alpha=1,
     beta=1,
     minimize: bool = False,
-    value_mode: str = "float",
-    n_cap: int | None = None,
 ) -> ConvergenceReport:
     """Finite-n worst-case values against a limit, with gap monotonicity
     flagged (not enforced: no convergence rate is asserted).  Each horizon
-    is one :func:`_dp_value` call; product-model values at the same
-    horizons come from :func:`product_model_value`."""
+    is one float :func:`_dp_value` call under the default horizon cap;
+    product-model values at the same horizons come from
+    :func:`product_model_value`."""
     if list(n_list) != sorted(n_list) or len(set(n_list)) != len(n_list):
         raise ValueError("n_list must be strictly increasing")
     rows = []
     for n in n_list:
         start = time.perf_counter()
-        value = float(
-            _dp_value(
-                L, phi, n, variant, rule=rule, alpha=alpha, beta=beta,
-                minimize=minimize, value_mode=value_mode, n_cap=n_cap,
-            )
-        )
+        value = float(_dp_value(L, phi, n, variant, rule=rule, alpha=alpha, beta=beta,
+                                minimize=minimize, value_mode="float"))
         elapsed = time.perf_counter() - start
         rows.append(ReportRow(n, value, abs(value - limit_reference), elapsed))
     gaps = [r.gap for r in rows]

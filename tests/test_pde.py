@@ -82,9 +82,8 @@ class TestGrid:
 
 class TestSolve:
     def test_constant_terminal_is_fixed_point(self):
-        const = TerminalFunction.tabulated([2.5] * COARSE.nx)
-        got = solve_g_expectation(const, GeneratorSpec(0.4, 0.05), COARSE, 0.0)
-        assert got == pytest.approx(2.5, abs=1e-12)
+        got = pde._solve_profiles(np.full(COARSE.nx, 2.5), 0.4, [0.05], COARSE, 1.0, COARSE.nt)
+        assert pde._interp(COARSE, got[:, 0], 0.0) == pytest.approx(2.5, abs=1e-12)
 
     def test_heat_equation_matches_quadrature(self):
         phi = TerminalFunction.smoothed_indicator(-1, 1, 0.05)
@@ -131,10 +130,14 @@ class TestAgainstClosedForm:
         # lower[a,b] = 1 - upper value of the mollified complement
         grid = PdeGrid.default()
         phi = TerminalFunction.smoothed_indicator(-1, 1, 0.02)
-        comp = TerminalFunction.tabulated(1.0 - phi.sample(grid.x))
-        res = epsilon_extrapolate(comp, 0.3, grid, EPS_SWEEP)
+        # epsilon_extrapolate's extrapolant from the two smallest eps; the
+        # columns are marched independently, so the others are not solved
+        e1, e2 = EPS_SWEEP[-2:]
+        profiles = pde._solve_profiles(1.0 - phi.sample(grid.x), 0.3, [e1, e2], grid, 1.0, grid.nt)
+        v1, v2 = (pde._interp(grid, profiles[:, j], 0.0) for j in (0, 1))
+        extrapolated = v2 + (v2 - v1) * e2 / (e1 - e2)
         want = lower_indicator_limit(interval(-0.3, 0.3), -1, 1)
-        assert 1.0 - res.extrapolated == pytest.approx(want, abs=5e-3)
+        assert 1.0 - extrapolated == pytest.approx(want, abs=5e-3)
 
 
 class TestEpsExtrapolation:
@@ -296,9 +299,8 @@ class TestStructuralProperties:
         gen = GeneratorSpec(0.3, 0.05)
         phi = TerminalFunction.smoothed_indicator(-1, 1, 0.05)
         base = solve_g_expectation_profile(phi, gen, COARSE)
-        lifted = solve_g_expectation_profile(
-            TerminalFunction.tabulated(phi.sample(COARSE.x) + 4.0), gen, COARSE
-        )
+        lifted = pde._solve_profiles(phi.sample(COARSE.x) + 4.0, gen.kappa, [gen.epsilon],
+                                     COARSE, 1.0, COARSE.nt)[:, 0]
         assert np.max(np.abs(lifted - base - 4.0)) <= 1e-11
 
     def test_symmetry_propagates(self):
@@ -354,10 +356,6 @@ class TestMonotoneReduction:
         assert left == pytest.approx(normal_cdf(-0.2, 0.3), abs=1e-9)
         assert right == pytest.approx(1.0 - normal_cdf(0.5, 0.3), abs=1e-9)
         assert monotone_reduction(TerminalFunction.indicator(-math.inf, math.inf), iv) == 1.0
-
-    def test_tabulated_rejected(self):
-        with pytest.raises(TypeError):
-            monotone_reduction(TerminalFunction.tabulated([0.0, 1.0, 1.0]), interval(-0.3, 0.3))
 
     def test_increasing_case_matches_solver(self):
         iv = interval(-0.3, 0.3)

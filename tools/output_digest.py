@@ -22,8 +22,9 @@ offsets -1, 0.5 and 2; ``hyptest_optimize``), ``epsilon_extrapolate`` at
 kappa 0, 0.3 and 0.6, PDE profiles, the closed form (``closed_form``:
 ``indicator_limit_detail`` on both sides over seeded shifted mean intervals,
 with endpoints on the branch line a + b = mu_lo + mu_hi and one-sided ends,
-and ``monotone_reduction`` on left, right and constant payoffs), and the
-CLI payloads: ``ambiclt mc``, ``pde``, ``closed-form`` (upper, lower,
+and ``monotone_reduction`` on left, right and constant payoffs, each
+hashed by its endpoints, whether it is sharp and, if not, its bandwidth),
+and the CLI payloads: ``ambiclt mc``, ``pde``, ``closed-form`` (upper, lower,
 one-sided), ``hyptest`` (calibration alone and with ``--paths``), and
 ``dp`` and ``lln`` with one or both endpoints, single-n and ``--n-list``
 tables, JSON and CSV.  Two digests
@@ -355,7 +356,8 @@ def closed_form_cases():
         for center in (0.0, 0.25):
             iv = interval(center - kappa, center + kappa)
             for phi in payoffs:
-                out.append((repr((kappa, center, phi)), repr(pde.monotone_reduction(phi, iv))))
+                shape = (phi.a, phi.b, phi.supports_exact, None if phi.supports_exact else phi.h)
+                out.append((repr((kappa, center, shape)), repr(pde.monotone_reduction(phi, iv))))
     return out
 
 
