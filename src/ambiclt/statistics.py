@@ -25,15 +25,16 @@ states exactly.
 
 :func:`path_statistic` and :func:`statistic_trace` fold a whole path in one
 loop.  The float fold adds one step per observation to the float value,
-the drift term first (:meth:`Increment.advance`).  The exact fold carries
+the drift term first, with the float operations of :meth:`Increment.advance`
+and the constants it forms taken once per path.  The exact fold carries
 only the outcome sum, as an integer numerator over the path's common
-denominator, and the count of upper-mean steps; every step decides the
-rule on the float value of that state against the correctly rounded
-threshold, and only a step whose float value lies within
-:data:`ambiclt._exact.FILTER_MARGIN` of the threshold, relative to the
-magnitudes summed, builds an ExactValue for the exact test.  The result is
-built once, at the end, and equals the statistic summed step by step in
-exact arithmetic.
+denominator (a path of ints is summed as it is), and the count of
+upper-mean steps; every step decides the rule on the float value of that
+state against the correctly rounded threshold, and only a step whose float
+value lies within :data:`ambiclt._exact.FILTER_MARGIN` of the threshold,
+relative to the magnitudes summed, builds an ExactValue for the exact
+test.  The result is built once, at the end, and equals the statistic
+summed step by step in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -230,14 +231,17 @@ def _as_float(x) -> float:
 
 
 def _fold_float(xs: Sequence, n: int, rule: SwitchRule, inc: Increment):
-    """(mu_m, M_m) for m = 1..n, one float step per observation."""
+    """(mu_m, M_m) for m = 1..n, one float step per observation: the float
+    operations of :meth:`Increment.advance`, in its order, with the
+    constants it forms taken once per path."""
     lo, hi = rule.mean_pair()
-    sigma = float(rule.interval.sigma)
+    drift, noise = float(inc.drift), float(inc.noise)
+    root = float(rule.interval.sigma) * math.sqrt(n)
     xs = list(map(_as_float, xs))
     M = 0.0
-    for x, threshold in zip(xs, rule._thresholds(n)[1]):
-        mu = hi if rule.upper(M, threshold, inc.tilde) else lo
-        M = inc.advance(M, x, mu, n, sigma)
+    for x, t in zip(xs, rule._thresholds(n)[1]):
+        mu = hi if (M >= t if inc.tilde else M <= t) else lo
+        M = M + drift * x / n + noise * (x - mu) / root
         yield mu, M
 
 
@@ -248,29 +252,32 @@ def _fold_exact(xs: Sequence, n: int, rule: SwitchRule, inc: Increment) -> Exact
         return ExactValue.zero(s)  # rejects n = 0: the scale must be positive
     lo, hi = rule.exact_mean_pair()
     lo_f, hi_f = float(lo), float(hi)
-    xs = [to_fraction(x) for x in xs]
-    den = math.lcm(*(x.denominator for x in xs))
+    if set(map(type, xs)) == {int}:
+        nums, den = xs, 1
+    else:
+        fractions = [to_fraction(x) for x in xs]
+        den = math.lcm(*(x.denominator for x in fractions))
+        nums = [x.numerator * (den // x.denominator) for x in fractions]
     thresholds, float_thresholds = rule._thresholds(n)
-    finite = not math.isinf(rule.center)
+    finite, tilde = not math.isinf(rule.center), inc.tilde
     # the float value of the state after m steps is d*(sum x) + e*(sum x -
     # sum mu), formed from the exact sums so that its error stays a few ulps
     # of the magnitudes g at any horizon
     d = float(inc.drift) / n
     e = float(inc.noise) / math.sqrt(float(s))
-    ad, ae = abs(d), abs(e)
+    ade, ae, ahi, alo = abs(d) + abs(e), abs(e), abs(hi_f), abs(lo_f)
     sx, k = 0, 0  # sum x = sx/den; k of the m steps took the upper mean
-    for m, x in enumerate(xs):
-        t, j = float_thresholds[m], m - k
+    for m, (x, t) in enumerate(zip(nums, float_thresholds)):
+        j = m - k
         fx = sx / den
         f = d * fx + e * (fx - (k * hi_f + j * lo_f))
-        g = (ad + ae) * abs(fx) + ae * (k * abs(hi_f) + j * abs(lo_f))
+        g = ade * abs(fx) + ae * (k * ahi + j * alo)
         if finite and abs(f - t) <= FILTER_MARGIN * (g + abs(t)):
-            sum_x = Fraction(sx, den)
-            M = ExactValue.create(*inc.exact(sum_x, k * hi + j * lo, n), s)
-            k += rule.upper(M, thresholds[m], inc.tilde)
+            M = ExactValue.create(*inc.exact(Fraction(sx, den), k * hi + j * lo, n), s)
+            k += rule.upper(M, thresholds[m], tilde)
         else:
-            k += rule.upper(f, t, inc.tilde)
-        sx += x.numerator * (den // x.denominator)
+            k += f >= t if tilde else f <= t
+        sx += x
     return ExactValue.create(*inc.exact(Fraction(sx, den), k * hi + (n - k) * lo, n), s)
 
 

@@ -26,7 +26,9 @@ difference between this polynomial lattice and the exponential tree that
 numpy array with a row per reachable a and a column per reachable b, so its
 size follows the number of distinct sums, not the fineness of the units.
 Float values carry float64 weights; exact values carry integer numerators
-over a power of the probabilities' common denominator.
+over a power of the probabilities' common denominator, int64 ones while the
+largest a step can form fits in int64 and Python ints from the first layer
+where it may not.
 
 The statistic rises with the row offset, so within a column the cells that
 take the upper mean are a prefix of the rows under the M-rule and a suffix
@@ -50,14 +52,15 @@ value is, from integer numerators.
 Every variant takes one backward step.  An outcome moves a cell along its
 column and a center along its row, so a law's expectation of layer m is
 formed once, over every column of layer m: a weighted sum of row-shifted
-slices of the layer (gathers where the reachable sums have gaps), with the
-laws of one center on a leading axis, in row blocks that stay in cache, and
-reduced by max (min) over those laws.  A cell of layer m - 1 reads it at
-its center's column.  Without a switching rule each law keeps its own
-center and a cell takes the best over the centers.  Under one every law
-takes the step's one center, so one expectation serves both means: the rows
-of a column up to its boundary read it at the ``first`` mean's column, the
-others at the ``rest`` mean's.
+slices of the layer (gathers where the reachable sums have gaps), with
+every law on a leading axis, in row blocks that stay in cache.  A cell of
+layer m - 1 reads each law at that law's center's column and takes the
+best (max, or min) over the laws, in one reduction per block.  Where every
+law takes one center, the best is taken before the column is read: so
+under a switching rule, whose laws all take the step's one center, one
+expectation serves both means, the rows of a column up to its boundary
+reading it at the ``first`` mean's column and the others at the ``rest``
+mean's.
 
 A seeded Monte Carlo policy evaluator provides lower bounds on the suprema,
 and :func:`convergence_report` tabulates finite-n values against their
@@ -268,7 +271,8 @@ class _Lattice:
         # max_states bounds the cells of the layers held at once plus the
         # stored offsets and index arrays.  It counts cells, not bytes: a
         # backward step also holds a few temporaries of a layer's size, and an
-        # exact cell is a Python int of about steps*log2(D) bits.
+        # exact cell is an int64 until the first layer whose numerators may
+        # not fit in it, then a Python int of up to steps*log2(D) bits.
         offsets, cells, size = 0, 1, 1
         row_gap, col_gap = (max((b - a for a, b in zip(d, d[1:])), default=0)
                             for d in (sorted(self.dx), sorted(dc)))
@@ -521,6 +525,12 @@ def _rounded(den: int, k0: int, ka: int, kb: int, rows, cols) -> np.ndarray:
     return np.asarray((k0 + a * ka + b * kb) / den, dtype=float)
 
 
+def _exact_dtype(D: int, k: int):
+    """The dtype of exact numerators up to D**k: int64 while D**k fits in
+    it, else object, for Python ints."""
+    return np.int64 if D ** k < 2**63 else object
+
+
 def _terminal_layer(grid: _Lattice, phi: TerminalFunction | None, m: int,
                     terminal: Callable | None = None, entries=((), (), (), ())):
     """(the counts ``grid.splits`` gives for ``entries``, the float payoff of
@@ -573,50 +583,34 @@ def _dp_value(
     cap = DEFAULT_N_CAP if n_cap is None else n_cap
     if n > cap:
         raise StateExplosion(
-            f"n={n} exceeds the {variant} cap of {cap}; pass n_cap to raise it"
+            f"n={n} exceeds the {variant} cap of {cap}; in a library call the n_cap "
+            f"keyword of the dynamic program raises it"
         )
     steps = n if steps is None else steps
     exact_values = _resolve_value_mode(value_mode, phi, n) if terminal is None else False
     grid = _Lattice(route, steps, max_states, keep_layers)
     inc, centers, D = route.inc, route.centers, route.D
 
-    # Exact values are integer numerators: layer m over D**(steps - m).
-    if exact_values:
-        weights, dtype = route.weights, object
-    else:
-        weights, dtype = [[p / D for p in law] for law in route.weights], float
-
-    # The laws grouped by center, so that laws sharing a center share their
-    # expectations: [(b-offset of the center, [(a-offset of an outcome, the
-    # outcome's weight in each law of the group, along a leading axis)])],
-    # outcomes in order.
-    def grouped(law_centers):
-        groups = []
-        for c in dict.fromkeys(law_centers):
-            laws = [pj for pj, cj in zip(weights, law_centers) if cj == c]
-            terms = [(da, np.array(p, dtype=dtype)[:, None, None])
-                     for da, p in zip(grid.dx, zip(*laws))]
-            groups.append((grid.dc[c], terms))
-        return groups
-
     # Under a switching rule every law takes the step's one center, so one
-    # group serves both centers: the first splits[m - 1] rows of each column
-    # of layer m - 1 read its expectation at the ``first`` center's column,
-    # the other rows at the ``rest`` center's.  Under the M-rule the cells at
-    # or below the step's threshold take the upper mean, under the M-tilde
-    # rule the cells below it the lower one: either way a prefix.
+    # expectation serves both centers: the first splits[m - 1] rows of each
+    # column of layer m - 1 read it at the ``first`` center's column, the
+    # other rows at the ``rest`` center's.  Under the M-rule the cells at or
+    # below the step's threshold take the upper mean, under the M-tilde rule
+    # the cells below it the lower one: either way a prefix.
     entries = ((), (), (), ())
+    law_centers = centers
     if route.switching:
         lo_mu, hi_mu = centers
         first_mu, rest_mu = (lo_mu, hi_mu) if inc.tilde else (hi_mu, lo_mu)
-        groups = grouped([first_mu] * len(weights))
+        law_centers = [first_mu] * len(centers)
         rest_db = grid.dc[rest_mu]
         thresholds, float_thresholds = rule._thresholds(n)
         entries = (range(steps), float_thresholds[:steps], thresholds[:steps],
                    [not inc.tilde] * steps)
-    else:
-        groups = grouped(centers)
     splits, V = _terminal_layer(grid, phi, steps, terminal, entries)
+    db = [grid.dc[c] for c in law_centers]  # each law's column move
+    one_center = len(set(db)) == 1
+    laws = np.arange(len(db))[:, None]
 
     # forward reachability, for the per-state table only: a center moves the
     # reached cells along their rows, then each outcome along their columns
@@ -624,60 +618,81 @@ def _dp_value(
         reach = [np.ones((1, 1), dtype=bool)]
         for m in range(1, steps + 1):
             prev = reach[-1]
-            sources = [(db, prev) for db, _ in groups]
+            sources = [(d, prev) for d in dict.fromkeys(db)]
             if route.switching:
                 firsts = np.arange(len(prev))[:, None] < splits[m - 1]
-                sources = [(grid.dc[first_mu], prev & firsts), (rest_db, prev & ~firsts)]
+                sources = [(db[0], prev & firsts), (rest_db, prev & ~firsts)]
             nxt = np.zeros(grid.shape(m), dtype=bool)
-            for db, src in sources:
+            for d, src in sources:
                 moved = np.zeros((len(prev), nxt.shape[1]), dtype=bool)
-                moved[:, grid.landing(m, 1, db)] = src
+                moved[:, grid.landing(m, 1, d)] = src
                 for da in grid.dx:
                     nxt[grid.landing(m, 0, da)] |= moved
             reach.append(nxt)
 
+    # Float values carry float64 weights.  Exact values are integer
+    # numerators, layer m over D**(steps - m): the payoff is 0 or 1 and each
+    # law's weights sum to D, so every product and partial sum of the step
+    # that forms layer m - 1 is at most D**(steps - m + 1).
+    def weights(dtype):
+        """Each outcome's row move and its weight in every law, the laws
+        along a leading axis, in outcome order."""
+        probs = route.weights
+        if dtype is float:
+            probs = [[p / D for p in law] for law in probs]
+        return [(da, np.array(p, dtype=dtype)[:, None, None])
+                for da, p in zip(grid.dx, zip(*probs))]
+
+    dtype = _exact_dtype(D, 1) if exact_values else float
+    terms = weights(dtype)
     if exact_values:
-        V = V.astype(np.int64).astype(object)
+        V = V.astype(np.int64).astype(dtype, copy=False)
 
     # backward induction: a step goes through the rows of layer m - 1 in
     # blocks of about _BLOCK_CELLS cells of layer m, whose per-law sums stay
     # in cache
     best_of = np.minimum if minimize else np.maximum
 
-    def expectation(V, m: int, terms, r0: int, r1: int) -> np.ndarray:
-        """The best over a group's laws of the expected layer-m value, on
-        rows r0..r1-1 of layer m - 1 and every column of layer m; terms are
-        added in outcome order."""
+    def expectation(V, m: int, r0: int, r1: int) -> np.ndarray:
+        """Every law's expected layer-m value on rows r0..r1-1 of layer
+        m - 1 and every column of layer m, the laws along a leading axis;
+        terms are added in outcome order."""
         (da, p), *more = terms
-        total = p * V[grid.landing(m, 0, da, r0, r1)]  # a block of values per law
+        total = p * V[grid.landing(m, 0, da, r0, r1)]
         for da, p in more:
             total += p * V[grid.landing(m, 0, da, r0, r1)]
-        return best_of.reduce(total, axis=0)
+        return total
 
     kept = [V]
     for m in range(steps, 0, -1):
+        if exact_values and dtype is not _exact_dtype(D, steps - m + 1):
+            # from the first layer whose sums may not fit in int64: Python ints
+            dtype = object
+            terms, V = weights(dtype), V.astype(dtype)
         nxt = np.empty(grid.shape(m - 1), dtype)
+        if not one_center:  # law j's column of layer m for each column of m - 1
+            at = np.array([np.arange(V.shape[1])[grid.landing(m, 1, d)] for d in db])
         block = max(1, _BLOCK_CELLS // V.shape[1])
         for r0 in range(0, len(nxt), block):
             r1 = min(r0 + block, len(nxt))
             out = nxt[r0:r1]
-            for g, (db, terms) in enumerate(groups):
-                F = expectation(V, m, terms, r0, r1)
-                cell = F[:, grid.landing(m, 1, db)]
-                if g:
-                    best_of(out, cell, out=out)
-                else:
-                    out[...] = cell
-                if route.switching:  # the rows at or past their column's split
-                    rows = np.arange(r0, r1)[:, None]
-                    np.copyto(out, F[:, grid.landing(m, 1, rest_db)], where=rows >= splits[m - 1])
+            total = expectation(V, m, r0, r1)
+            if not one_center:  # the best law at its own center's column
+                best_of.reduce(total[laws, :, at], axis=0, out=out.T)
+                continue
+            # every law at one center: the best law, then the center's column
+            F = best_of.reduce(total, axis=0)
+            out[...] = F[:, grid.landing(m, 1, db[0])]
+            if route.switching:  # the rows at or past their column's split
+                rows = np.arange(r0, r1)[:, None]
+                np.copyto(out, F[:, grid.landing(m, 1, rest_db)], where=rows >= splits[m - 1])
         V = nxt
         if keep_layers:
             kept.append(V)
 
     def value(V, m: int, a=0, b=0):
         if exact_values:
-            return Fraction(V[a, b], D ** (steps - m))
+            return Fraction(int(V[a, b]), D ** (steps - m))
         return float(V[a, b])
 
     if not keep_layers:
@@ -823,8 +838,9 @@ def product_model_value(
     its default ``max_states`` (past it :class:`StateExplosion`).  A
     multiset of law choices fixes the sum of the centers, hence one column
     of the terminal layer, and the sum of the outcomes is distributed over
-    that column's rows.  A distribution holds exact integer numerators over D**m after m
-    steps, D the common denominator of the probabilities, and the payoffs
+    that column's rows.  A distribution holds exact integer numerators over
+    D**m after m steps, D the common denominator of the probabilities, as
+    int64 while D**m fits in it and as Python ints past that, and the payoffs
     enter as exact Fractions of their floats, so every candidate's value is
     exact and the best one is rounded once.  The candidates are the
     compositions of n over the laws in lexicographic order, each applying
@@ -846,7 +862,9 @@ def product_model_value(
         """(steps taken, column offset, numerators over the rows) after one
         more step of law j."""
         m, col, P = dist
-        nxt = np.zeros(len(grid.rows[m + 1]), dtype=object)
+        dtype = _exact_dtype(route.D, m + 1)
+        P = P.astype(dtype, copy=False)
+        nxt = np.zeros(len(grid.rows[m + 1]), dtype=dtype)
         for da, p in zip(grid.dx, route.weights[j]):
             nxt[grid.landing(m + 1, 0, da)] += p * P  # a move lands distinct rows on distinct rows
         return m + 1, col + grid.dc[route.centers[j]], nxt
@@ -855,7 +873,7 @@ def product_model_value(
         _, col, P = dist
         return np.dot(P, columns[col])
 
-    start = (0, 0, np.ones(1, dtype=object))
+    start = (0, 0, np.ones(1, dtype=np.int64))
     best = max(_composition_values(start, 0, n, k, step, expectation))
     return float(Fraction(best, route.D ** n))
 

@@ -231,6 +231,15 @@ class TestErrorsAndExitCodes:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "StateExplosion"
 
+    def test_horizon_cap_message_names_n_and_the_cap(self, capsys):
+        # the CLI has no option for the cap, so the message must not offer one
+        code = run_cli(["dp", "--theorem", "special", "--p", "0.6", "--q", "0.3",
+                        "--a", "-1", "--b", "1", "--n", "2001"])
+        assert code == 5
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert "n=2001" in message and "cap of 2000" in message
+        assert "pass n_cap" not in message
+
     def test_default_cell_budget_exits_5_at_n_1000(self, capsys):
         # under the horizon cap, but the lattice fails before any DP work
         code = run_cli(["dp", "--theorem", "special", "--p", "0.6", "--q", "0.3",

@@ -15,6 +15,7 @@ from ambiclt.statistics import (
     LengthMismatch,
     SwitchRule,
     condition1_diagnostic,
+    increment,
     path_statistic,
     read_path_csv,
     statistic_trace,
@@ -263,6 +264,38 @@ class TestFold:
         assert repr(path_statistic(inputs, n, rule, variant)) == repr(chain[-1][1])
         rows = statistic_trace(inputs, n, rule, variant)
         assert repr(rows) == repr([(m, mu, M) for m, (mu, M) in enumerate(chain, 1)])
+
+    PATH = [1, -1, 0, 1, 1, -1, 0, 0, 1, -1, 1, 1, 0, -1]
+
+    @pytest.mark.parametrize("kind", ["int", "float", "ratio"])
+    @pytest.mark.parametrize("center", [0.0, 0.17, math.inf, -math.inf])
+    @pytest.mark.parametrize("variant", [VARIANT_M, VARIANT_TILDE])
+    def test_float_fold_is_the_advance_chain(self, variant, center, kind):
+        # the fold takes advance's constants once per path, then the same
+        # float operations in the same order: equal bit for bit
+        xs = [Fraction(x) + (0 if kind == "int" else Fraction(1, 3)) for x in self.PATH]
+        inputs = {"int": [int(x) for x in xs], "float": [float(x) for x in xs],
+                  "ratio": [f"{x.numerator}/{x.denominator}" for x in xs]}[kind]
+        n, rule = len(xs), SwitchRule(center, IV)
+        inc = increment("special" if variant == VARIANT_M else "tilde")
+        M, rows = 0.0, []
+        for m, x in enumerate(xs, 1):
+            mu = rule.mean(M, rule.threshold(m, n), inc.tilde)
+            M = inc.advance(M, float(x), mu, n, float(IV.sigma))
+            rows.append((m, mu, M))
+        assert repr(path_statistic(inputs, n, rule, variant)) == repr(M)
+        assert repr(statistic_trace(inputs, n, rule, variant)) == repr(rows)
+
+    @pytest.mark.parametrize("center", [0.0, 0.17, math.inf, -math.inf])
+    @pytest.mark.parametrize("variant", [VARIANT_M, VARIANT_TILDE])
+    def test_exact_fold_of_an_int_path_reads_like_fractions_and_strings(self, variant, center):
+        # an int path is summed as ints, any other through to_fraction
+        rule = SwitchRule(center, IV)
+        n = len(self.PATH)
+        want = path_statistic(self.PATH, n, rule, variant, exact=True)
+        for xs in ([Fraction(x) for x in self.PATH], [str(x) for x in self.PATH]):
+            got = path_statistic(xs, n, rule, variant, exact=True)
+            assert (str(got.u), str(got.w), got.s) == (str(want.u), str(want.w), want.s)
 
     def test_float_fold_reads_ratio_strings(self):
         rule = SwitchRule(0, IV)

@@ -314,6 +314,52 @@ class TestFineLatticeUnit:
             assert repr(product_model_value(L, BOX, n, "clt")) == repr(float(exact)), n
 
 
+class TestWideDenominator:
+    """Exact numerators are int64 while D**(steps - m + 1) fits in it, then
+    Python ints: with D = 1000 the switch comes after 6 layers, with
+    D = 10**7 after 2, so these horizons cross it."""
+
+    @staticmethod
+    def wide(variance):
+        return MeasureSet(tuple(
+            three_point_law((-1, 0, 1), mean, variance) for mean in ("3/10", "-3/10")
+        ))
+
+    D3 = wide("0.812")  # probabilities 0.601, 0.098, 0.301: D = 1000
+    D7 = wide("0.8100002")  # 0.6000001, 0.0999998, 0.3000001: D = 10**7
+
+    def test_the_switch_layers(self):
+        from ambiclt.worst_case import _exact_dtype, _route
+
+        assert [_route(L, "clt", 1, None, 1, 1).D for L in (self.D3, self.D7)] == [1000, 10**7]
+        assert [_exact_dtype(1000, k) for k in (6, 7)] == [np.int64, object]
+        assert [_exact_dtype(10**7, k) for k in (2, 3)] == [np.int64, object]
+
+    @pytest.mark.parametrize("minimize", [False, True], ids=["sup", "inf"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_variant_against_the_oracle(self, variant, minimize):
+        from ambiclt.worst_case import _dp_value
+
+        # two laws of two centers branch six ways a step: n = 7 only for
+        # the one-center variants
+        cases = [(self.D7, n) for n in range(1, 5)]
+        if variant in ("special", "tilde", "lln"):
+            cases.append((self.D3, 7))
+        for L, n in cases:
+            kw = dict(_variant_kwargs(variant, SwitchRule(0.0, validate_measure_set(L))),
+                      minimize=minimize)
+            tree = enumerate_worst_case(L, BOX, n, variant, **kw)
+            got = _dp_value(L, BOX, n, variant, value_mode="exact", **kw)
+            assert got == tree, (n, L is self.D3)
+
+    @pytest.mark.parametrize("variant", ["clt", "lln"])
+    def test_product_model_against_the_exact_convolution(self, variant):
+        # a distribution after m steps is over D**m: Python ints from m = 3
+        for n in range(1, 6):
+            exact = dict_product_model_value(self.D7, BOX, n, variant, exact=True)
+            assert repr(product_model_value(self.D7, BOX, n, variant)) == repr(float(exact)), n
+
+
 class TestTerminalLayer:
     SMOOTH = TerminalFunction.smoothed_indicator(-1, 1, 0.05)
 
@@ -439,8 +485,9 @@ class TestBlockedStep:
                                **_variant_kwargs(variant, rule)))
                 for variant, n, mode in runs]
 
-    @pytest.mark.parametrize("L", [COIN, TestFineLatticeUnit.FINE, TestSharedExpectation.UNEVEN],
-                             ids=["coin", "fine", "uneven"])
+    @pytest.mark.parametrize("L", [COIN, TestFineLatticeUnit.FINE, TestSharedExpectation.UNEVEN,
+                                   TestWideDenominator.D7],
+                             ids=["coin", "fine", "uneven", "wide"])
     def test_blocks_leave_the_values_unchanged(self, monkeypatch, L):
         want = self.values(L)
         for cells in (1, 7):

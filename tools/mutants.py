@@ -46,6 +46,12 @@ MUTANTS = [
     ("closed-form tail starts a layer late",
      "np.arange(1, steps - m + 1)",
      "np.arange(2, steps - m + 2)"),
+    ("exact sums stay in int64 a layer too long",
+     "dtype is not _exact_dtype(D, steps - m + 1)",
+     "dtype is not _exact_dtype(D, steps - m)"),
+    ("a law read at another law's center column",
+     "grid.landing(m, 1, d)] for d in db])",
+     "grid.landing(m, 1, d)] for d in db[::-1]])"),
 ]
 
 
