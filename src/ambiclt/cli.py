@@ -105,10 +105,8 @@ _PROVENANCE_MODULE = {
     "closed-form": "closed_form",
     "pde": "pde",
     "dp": "worst_case",
-    "lln": "worst_case",
     "mc": "worst_case",
     "hyptest": "hyptest",
-    "report": "acceptance",
 }
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .closed_form import BadInterval, one_sided_limit, upper_indicator_limit
 from .measures import MeasureSet, interval, validate_measure_set
-from .statistics import VARIANT_M, SwitchRule
+from .statistics import VARIANT_M, SwitchRule, path_statistic
 from .worst_case import DriftPolicy, simulate_statistic_values
 
 CALIBRATION_TOL = 1e-9
@@ -245,7 +245,5 @@ def residual_statistic(xs: Sequence[float], spec: TestSpec, a: float, b: float) 
         raise ValueError("need at least one observation")
     iv = interval(-spec.kappa, spec.kappa, spec.sigma)
     rule = SwitchRule(0.5 * (a + b), iv)
-    from .statistics import path_statistic
-
     ys = [x - spec.theta0 for x in xs]
     return float(path_statistic(ys, n, rule, VARIANT_M))

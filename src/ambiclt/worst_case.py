@@ -38,16 +38,15 @@ endpoints, are located from the float statistic in one pass, and only the
 cells whose float statistic lies within a small relative margin of the
 threshold or an endpoint take the exact test: the sign of the statistic
 minus the threshold, from the integer numerators of its affine form in (m,
-a, b), in int64 while the products fit and in Python ints past that.  This
-is an adaptive predicate in the sense of Shewchuk, so every decision is the
-exact one.  The pass reads every layer's size from one array of them and
-builds each column's offsets, and the window of rows around its boundary,
-as flat index arrays: an offset on a gapless run is its index, and a gapped
-layer's offsets come from one array of all such offsets.  So it takes a
-fixed number of array operations for any number of layers, in chunks of
-columns that bound its temporaries.  A smooth terminal is sampled once on the
-whole layer, each cell's statistic being formed as the float of its exact
-value is, from integer numerators.
+a, b), in Python ints.  This is an adaptive predicate in the sense of
+Shewchuk, so every decision is the exact one.  The pass reads every layer's
+size from one array of them and builds each column's offsets, and the
+window of rows around its boundary, as flat index arrays: an offset on a
+gapless run is its index, and a gapped layer's offsets come from one array
+of all such offsets.  So it takes a fixed number of array operations for
+any number of layers, in chunks of columns that bound its temporaries.  A
+smooth terminal is sampled once on the whole layer, each cell's statistic
+being formed as the float of its exact value is, from integer numerators.
 
 Every variant takes one backward step.  An outcome moves a cell along its
 column and a center along its row, so a law's expectation of layer m is
@@ -408,19 +407,16 @@ class _Lattice:
     def sign(self, m, a, b, pt, qt) -> np.ndarray:
         """The exact sign of (statistic - pt/qt) at row offset ``a`` and
         column offset ``b`` of layer m, for integer arrays that broadcast
-        (qt > 0), computed in int64 while every product fits in it, else in
-        Python ints."""
+        (qt > 0), computed in Python ints, which cannot overflow.  The float
+        filter of :meth:`splits` leaves it only the cells near a threshold
+        or an indicator endpoint: on the coin, a few dozen per dynamic
+        program up to n = 160 and about 500 at n = 999, too few for an int64
+        path to pay."""
         (du, U0, Ua), (dw, W0, Wa, Wb), R, root = self._integer_form
         # statistic - pt/qt = A/(du*qt) + B/(dw*sqrt(s)), which times the
         # positive du*qt*dw*s.numerator is Y + X*sqrt(R): Y = A*cy, X = B*du*qt
         cy = dw * self.s.numerator
-        big_m, big_a, big_b, big_p, big_q = (int(abs(np.asarray(v).ravel()).max())
-                                             for v in (m, a, b, pt, qt))
-        x_max = (big_m * abs(W0) + big_a * abs(Wa) + big_b * abs(Wb)) * du * big_q
-        y_max = ((big_m * abs(U0) + big_a * abs(Ua)) * big_q + big_p * du) * cy
-        big = y_max + x_max * root if root is not None else max(x_max * x_max * R, y_max * y_max)
-        dtype = np.int64 if max(big, du * big_q, cy, R) < 2**62 else object
-        m, a, b, pt, qt = (np.asarray(v, dtype=dtype) for v in (m, a, b, pt, qt))
+        m, a, b, pt, qt = (np.asarray(v, dtype=object) for v in (m, a, b, pt, qt))
         Y = ((m * U0 + a * Ua) * qt - pt * du) * cy
         X = (m * W0 + a * Wa + b * Wb) * (qt * du)
         if root is not None:
@@ -575,7 +571,6 @@ def _dp_value(
     steps: int | None = None,
     terminal: Callable | None = None,
     value_mode: str = "auto",
-    max_states: int = DEFAULT_MAX_STATES,
     n_cap: int | None = None,
     keep_layers: bool = False,
 ):
@@ -588,7 +583,7 @@ def _dp_value(
         )
     steps = n if steps is None else steps
     exact_values = _resolve_value_mode(value_mode, phi, n) if terminal is None else False
-    grid = _Lattice(route, steps, max_states, keep_layers)
+    grid = _Lattice(route, steps, DEFAULT_MAX_STATES, keep_layers)
     inc, centers, D = route.inc, route.centers, route.D
 
     # Under a switching rule every law takes the step's one center, so one
@@ -835,17 +830,19 @@ def product_model_value(
     choices matters and each candidate is evaluated by exact convolution.
 
     The states are the cells of the dynamic program's lattice, bounded by
-    its default ``max_states`` (past it :class:`StateExplosion`).  A
-    multiset of law choices fixes the sum of the centers, hence one column
-    of the terminal layer, and the sum of the outcomes is distributed over
-    that column's rows.  A distribution holds exact integer numerators over
-    D**m after m steps, D the common denominator of the probabilities, as
-    int64 while D**m fits in it and as Python ints past that, and the payoffs
-    enter as exact Fractions of their floats, so every candidate's value is
-    exact and the best one is rounded once.  The candidates are the
-    compositions of n over the laws in lexicographic order, each applying
-    law 0 first, then law 1, and so on; compositions that begin with the
-    same law choices share the distribution of that prefix.
+    its cell budget (past it :class:`StateExplosion`).  A multiset of law
+    choices fixes the sum of the centers, hence one column of the terminal
+    layer, and the sum of the outcomes is distributed over that column's
+    rows.  A distribution holds exact integer numerators over D**m after m
+    steps, D the common denominator of the probabilities, as int64 while
+    D**m fits in it and as Python ints past that.  Every float payoff is an
+    integer over a power of two, so the payoffs enter as exact integer
+    numerators over Q, the largest of those powers, and a candidate's value
+    is an integer dot product over D**n * Q: every value is exact and the
+    best one is rounded once.  The candidates are the compositions of n over
+    the laws in lexicographic order, each applying law 0 first, then law 1,
+    and so on; compositions that begin with the same law choices share the
+    distribution of that prefix.
     """
     if increment(variant).switching:
         raise ValueError("product model applies to the non-switching variants")
@@ -855,8 +852,9 @@ def product_model_value(
     if n_multisets * n > 200_000:
         raise ValueError("too many law multisets; reduce n or the law count")
     grid = _Lattice(route, n, DEFAULT_MAX_STATES, keep_layers=False)
-    payoff = np.frompyfunc(Fraction, 1, 1)(_terminal_layer(grid, phi, n)[1])
-    columns = dict(zip((int(b) for b in grid.cols[n]), payoff.T))
+    num, den = np.frompyfunc(float.as_integer_ratio, 1, 2)(_terminal_layer(grid, phi, n)[1])
+    Q = int(den.max())  # every den is a power of two, so each divides Q
+    columns = dict(zip((int(b) for b in grid.cols[n]), (num * (Q // den)).T))
 
     def step(dist, j: int):
         """(steps taken, column offset, numerators over the rows) after one
@@ -875,7 +873,7 @@ def product_model_value(
 
     start = (0, 0, np.ones(1, dtype=np.int64))
     best = max(_composition_values(start, 0, n, k, step, expectation))
-    return float(Fraction(best, route.D ** n))
+    return float(Fraction(best, route.D ** n * Q))
 
 
 # at module level: a nested recursive generator would hold its closure, and

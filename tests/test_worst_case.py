@@ -284,15 +284,16 @@ class TestFineLatticeUnit:
 
     FINE = fine()
 
-    def test_layers_follow_the_reachable_sums(self):
+    def test_layers_follow_the_reachable_sums(self, monkeypatch):
         rule = SwitchRule(0.0, validate_measure_set(self.FINE))
         # a dense grid over the unit would need 6.4M cells at n = 40
-        value = sup_dp_special(self.FINE, BOX, 40, rule, value_mode="float",
-                               max_states=200_000)
+        monkeypatch.setattr(worst_case, "DEFAULT_MAX_STATES", 200_000)
+        value = sup_dp_special(self.FINE, BOX, 40, rule, value_mode="float")
         assert 0 < value < 1
         # 41*42/2 outcome sums times 41 center sums, for two layers
+        monkeypatch.setattr(worst_case, "DEFAULT_MAX_STATES", 2 * 861 * 41)
         with pytest.raises(StateExplosion):
-            sup_dp_special(self.FINE, BOX, 40, rule, max_states=2 * 861 * 41)
+            sup_dp_special(self.FINE, BOX, 40, rule)
 
     # a unit of 10**-18 takes the offsets past the int64 guard: Python ints
     @pytest.mark.parametrize("middle", ["1/1000", "1/1000000000000000000"])
@@ -408,13 +409,13 @@ class TestExactSign:
         return sorted({Fraction(1), Fraction(-1), *rule._thresholds(n)[0], *picks})
 
     # the coin at n = 16 has sqrt(n*sigma^2) = 18/5, rational; at n = 15 it
-    # is irrational; the 10**-18 unit takes the test into Python ints
-    @pytest.mark.parametrize("L, n, python_ints", [
-        (COIN, 16, False), (COIN, 15, False), (COIN.shifted("1/10"), 7, False),
-        (THREE, 6, False), (TestFineLatticeUnit.fine("1/1000000000000000000"), 4, True),
+    # is irrational; the 10**-18 unit takes the products past int64
+    @pytest.mark.parametrize("L, n", [
+        (COIN, 16), (COIN, 15), (COIN.shifted("1/10"), 7), (THREE, 6),
+        (TestFineLatticeUnit.fine("1/1000000000000000000"), 4),
     ])
     @pytest.mark.parametrize("variant", ["special", "tilde", "scaled"])
-    def test_sign_is_the_exact_comparison(self, L, n, python_ints, variant):
+    def test_sign_is_the_exact_comparison(self, L, n, variant):
         from ambiclt.worst_case import _Lattice, _route
 
         rule = SwitchRule(0.0, validate_measure_set(L))
@@ -426,11 +427,37 @@ class TestExactSign:
             b = np.array([grid.cols[m][j] for _, j in cells])
             for t in self.thresholds(grid, m, rule, n):
                 sign = grid.sign(m, a, b, t.numerator, t.denominator)
-                assert (sign.dtype == object) == python_ints
                 want = [grid.state(m, *c).cmp(t) for c in cells]
                 assert [int(x) for x in sign] == want, (m, t)
                 ties += want.count(0)
         assert ties > 0
+
+    def test_sign_near_the_thresholds_at_n_999(self):
+        # the coin's special rule at the largest horizon of the default
+        # budget: on every 37th layer, in a sample of columns, the cell whose
+        # float statistic is nearest the step's threshold and the cells
+        # just below and above it
+        from ambiclt.worst_case import DEFAULT_MAX_STATES, _Lattice, _route
+
+        n = 999
+        grid = _Lattice(_route(COIN, "special", n, RULE, 1, 1), n, DEFAULT_MAX_STATES, False)
+        thresholds = RULE._thresholds(n)[0]
+        rng = np.random.default_rng(999)
+        signs = set()
+        for m in range(1, n, 37):
+            t = thresholds[m]
+            statistic = grid.statistic(m)
+            rows, columns = statistic.shape
+            picked = rng.choice(columns, min(columns, 12), replace=False)
+            nearest = np.abs(statistic[:, picked] - float(t)).argmin(axis=0)
+            cells = [(i + d, j) for i, j in zip(nearest, picked) for d in (-1, 0, 1)
+                     if 0 <= i + d < rows]
+            a = np.array([grid.rows[m][i] for i, _ in cells])
+            b = np.array([grid.cols[m][j] for _, j in cells])
+            sign = [int(x) for x in grid.sign(m, a, b, t.numerator, t.denominator)]
+            assert sign == [grid.state(m, *c).cmp(t) for c in cells], m
+            signs.update(sign)
+        assert signs == {-1, 1}
 
 
 def stepwise_lattice(moves, steps):
@@ -493,6 +520,21 @@ class TestBlockedStep:
         for cells in (1, 7):
             monkeypatch.setattr(worst_case, "_BLOCK_CELLS", cells)
             assert self.values(L) == want, cells
+
+    def test_one_block_per_layer_leaves_the_float_values_unchanged(self, monkeypatch):
+        # the default blocks split every layer of over 2**14 cells; one
+        # block of 2**20 cells holds a whole layer of n = 400, 801 by 401
+        runs = [(variant, 150) for variant in ("special", "tilde", "clt", "lln")]
+        runs.append(("special", 400))
+
+        def values():
+            return [repr(worst_case._dp_value(COIN, BOX, n, variant, value_mode="float",
+                                              **_variant_kwargs(variant, RULE)))
+                    for variant, n in runs]
+
+        want = values()
+        monkeypatch.setattr(worst_case, "_BLOCK_CELLS", 1 << 20)
+        assert values() == want
 
 
 class TestSplits:
@@ -774,9 +816,10 @@ class TestLln:
 
 
 class TestCaps:
-    def test_state_cap_raises(self):
-        with pytest.raises(StateExplosion):
-            sup_dp_clt(COIN, BOX, 12, max_states=50)
+    def test_state_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(worst_case, "DEFAULT_MAX_STATES", 50)
+        with pytest.raises(StateExplosion, match="the lattice holds over max_states=50 cells"):
+            sup_dp_clt(COIN, BOX, 12)
 
     def test_horizon_cap_raises(self):
         with pytest.raises(StateExplosion):
@@ -1251,6 +1294,9 @@ PRODUCT_VARIANTS = [("clt", {}), ("lln", {}), ("deviation", {}),
 
 class TestProductModel:
     SMOOTH = TerminalFunction.smoothed_indicator(-1, 1, 0.3)
+    # its payoffs reach about 1e-305 on the coin at n = 10, so their common
+    # power-of-two denominator has over a thousand bits
+    STEEP = TerminalFunction.smoothed_indicator(-1, 1, 0.02)
 
     @pytest.mark.parametrize("variant, kw", PRODUCT_VARIANTS, ids=[v for v, _ in PRODUCT_VARIANTS])
     @pytest.mark.parametrize("L", [COIN, COIN.shifted("-1/10"), THREE],
@@ -1258,7 +1304,7 @@ class TestProductModel:
     def test_matches_the_dict_convolution(self, L, variant, kw):
         # the exact convolution rounded once, bit for bit, and the float
         # convolution within float-mode tolerance
-        for phi in (BOX, self.SMOOTH):
+        for phi in (BOX, self.SMOOTH, self.STEEP):
             for n in range(1, 13):
                 exact = dict_product_model_value(L, phi, n, variant, exact=True, **kw)
                 ref = dict_product_model_value(L, phi, n, variant, **kw)

@@ -52,6 +52,15 @@ MUTANTS = [
     ("a law read at another law's center column",
      "grid.landing(m, 1, d)] for d in db])",
      "grid.landing(m, 1, d)] for d in db[::-1]])"),
+    ("the sign test in int64",
+     "np.asarray(v, dtype=object) for v in (m, a, b, pt, qt)",
+     "np.asarray(v, dtype=np.int64) for v in (m, a, b, pt, qt)"),
+    ("payoff numerators not scaled to the common denominator",
+     "(num * (Q // den)).T",
+     "num.T"),
+    ("the product model's value read over D**n alone",
+     "Fraction(best, route.D ** n * Q)",
+     "Fraction(best, route.D ** n)"),
 ]
 
 
