@@ -4,19 +4,20 @@ Solves the drift-control parabolic equation for mollified interval
 indicators, sweeps the generator smoothing parameter down and extrapolates
 to zero, and compares with the analytic indicator limits.  Also exercises
 the dynamic-programming self-check and the symmetry the solution inherits
-from its terminal data.
+from its terminal data, and checks the solver against the closed form of a
+monotone terminal.
 """
 
 import numpy as np
 
 from ambiclt import interval, upper_indicator_limit
+from ambiclt.closed_form import monotone_reduction
 from ambiclt.pde import (
     GeneratorSpec,
     PdeGrid,
     TerminalFunction,
     dpp_check,
     epsilon_extrapolate,
-    monotone_reduction,
     solve_g_expectation_profile,
 )
 
@@ -54,10 +55,10 @@ print(f"gradient sign agrees with -sgn(x - center) everywhere: violations {viol}
 print("\nmonotone terminals skip the solver entirely:")
 iv = interval(-0.3, 0.3)
 left = TerminalFunction.left(0.5)
-print(f"  decreasing I(-inf, 0.5]:  quadrature at the lower drift  "
+print(f"  decreasing I(-inf, 0.5]:  closed form at the lower drift  "
       f"{monotone_reduction(left, iv):.6f}")
 rising = TerminalFunction.smoothed_indicator(0.2, np.inf, 0.05)
-print(f"  increasing smooth ramp:   quadrature at the upper drift  "
+print(f"  increasing smooth ramp:   closed form at the upper drift  "
       f"{monotone_reduction(rising, iv):.6f}")
 res = epsilon_extrapolate(rising, 0.3, grid, eps_sweep)
 print(f"  ... and the solver agrees: extrapolated {res.extrapolated:.6f}")

@@ -42,7 +42,9 @@ from .statistics import (
 from .closed_form import (
     BadInterval,
     BadTime,
+    NotMonotone,
     lower_indicator_limit,
+    monotone_reduction,
     normal_cdf,
     one_sided_limit,
     reflected_density,
@@ -52,13 +54,11 @@ from .closed_form import (
 from .terminal import TerminalFunction
 from .pde import (
     GeneratorSpec,
-    NotMonotone,
     OutOfDomain,
     PdeGrid,
     UnstableGrid,
     dpp_check,
     epsilon_extrapolate,
-    monotone_reduction,
     solve_g_expectation,
 )
 from .worst_case import (

@@ -44,6 +44,8 @@ from .hyptest import (
     wrong_acceptance,
 )
 from .measures import (
+    DiscreteMeasure,
+    MeasureSet,
     coin_example,
     interval,
     load_measure_set,
@@ -351,8 +353,8 @@ def _run_hyptest(args) -> int:
             args.theta0 + m_resid, a_cal, b_cal, ThetaSet.point(args.theta0)
         )
         body["residual_statistic"] = m_resid
-    elif args.paths:
-        if not args.n:
+    elif args.paths is not None:
+        if args.n is None:
             raise ConfigError("simulation needs --n alongside --paths")
         L = _error_law(args.kappa, args.sigma)
         rate, stderr = size_power_simulation(
@@ -368,8 +370,6 @@ def _run_hyptest(args) -> int:
 def _error_law(kappa: float, sigma: float):
     """A stock error law matching (kappa, sigma): a scaled fair coin when
     the mean is unambiguous, otherwise the three-outcome coin."""
-    from .measures import DiscreteMeasure, MeasureSet
-
     if kappa == 0.0:
         return MeasureSet(
             (DiscreteMeasure((repr(sigma), repr(-sigma)), ("1/2", "1/2")),)

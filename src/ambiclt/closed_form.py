@@ -14,6 +14,8 @@ indicators collapse to plain normal cdfs at the extreme drifts, and the whole
 family reduces to the symmetric case [-kappa, kappa] by translating the
 interval endpoints (the shift lemma), which is how every entry point here is
 evaluated internally: the two branches then meet exactly at a + b = 0.
+A one-sided payoff smoothed at bandwidth h is one more normal cdf, of
+variance 1 + h^2 (:func:`monotone_reduction`).
 
 The same limit is the time-1 law of a diffusion whose drift -kappa*sgn(x)
 reflects paths toward the origin; :func:`reflected_density` evaluates its
@@ -29,6 +31,7 @@ import numpy as np
 import scipy
 
 from .measures import AmbiguityInterval
+from .terminal import TerminalFunction
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -39,6 +42,10 @@ class BadInterval(ValueError):
 
 class BadTime(ValueError):
     """Transition-density time must be positive."""
+
+
+class NotMonotone(ValueError):
+    """Terminal function is not globally monotone."""
 
 
 def normal_cdf(mu: float, x: float) -> float:
@@ -135,6 +142,24 @@ def one_sided_limit(iv: AmbiguityInterval, b: float, direction: str, side: str) 
     mu = mu_hi if side == "upper" else mu_lo
     # survival of N(mu,1) at b, computed by reflection to keep tail accuracy
     return normal_cdf(-mu, -b)
+
+
+def monotone_reduction(phi: TerminalFunction, iv: AmbiguityInterval) -> float:
+    """Upper limit of a one-sided payoff, read from its parameters.
+
+    A payoff of (-inf, b] falls and one of [a, inf) rises, so the worst case
+    holds the lower or the upper mean throughout.  At bandwidth h the payoff
+    at x is P(x + h*Z in [a, b]), so the limit is :func:`one_sided_limit`
+    for a normal law of variance 1 + h^2.  Both endpoints infinite give 1;
+    both finite rise and fall, and NotMonotone is raised.
+    """
+    falls, rises = math.isinf(phi.a), math.isinf(phi.b)
+    if not (falls or rises):
+        raise NotMonotone("terminal function rises and falls")
+    scale = math.sqrt(1.0 + phi.h * phi.h)
+    if rises:
+        return normal_cdf(-float(iv.mu_upper) / scale, -phi.a / scale)
+    return normal_cdf(float(iv.mu_lower) / scale, phi.b / scale)
 
 
 def reflected_density(x: float, kappa: float, t: float, z):

@@ -22,18 +22,20 @@ right-hand side each, in buffers allocated once per march.  Gradients are
 centered differences by default, with a monotone upwind fallback for a
 column whose discrete min/max bound is ever violated; that column alone is
 re-marched.  Artificial boundaries use zero-slope conditions, which is
-consistent with terminal data that flatten at infinity.
+consistent with terminal data that flatten at infinity.  A monotone terminal
+needs no solve: its limit is ``closed_form.monotone_reduction``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy
 
-from .measures import AmbiguityInterval
+# the monotone limit is a formula in closed_form; it stays reachable here
+# because the benchmark's workloads call pde.monotone_reduction
+from .closed_form import NotMonotone, monotone_reduction  # noqa: F401
 from .terminal import TerminalFunction
 
 __all__ = [
@@ -45,10 +47,8 @@ __all__ = [
     "solve_g_expectation_profile",
     "epsilon_extrapolate",
     "dpp_check",
-    "monotone_reduction",
     "UnstableGrid",
     "OutOfDomain",
-    "NotMonotone",
 ]
 
 
@@ -59,10 +59,6 @@ class UnstableGrid(ValueError):
 
 class OutOfDomain(ValueError):
     """Evaluation point lies outside the spatial grid."""
-
-
-class NotMonotone(ValueError):
-    """Terminal function is not globally monotone."""
 
 
 @dataclass(frozen=True)
@@ -343,29 +339,3 @@ def dpp_check(
     for x0 in probe_points:
         worst = max(worst, abs(_interp(grid, direct, x0) - _interp(grid, composed, x0)))
     return worst
-
-
-def monotone_reduction(phi: TerminalFunction, iv: AmbiguityInterval) -> float:
-    """Limit value for a one-sided payoff, read from its endpoints: quadrature
-    against the normal law at the extreme drift, the lower mean for a payoff
-    of (-inf, b], which falls, and the upper for one of [a, inf), which
-    rises.  With both endpoints infinite the payoff is constant and is
-    returned; with both finite it rises and falls, and NotMonotone is raised.
-    """
-    falls, rises = math.isinf(phi.a), math.isinf(phi.b)
-    if falls and rises:
-        return phi(0.0)
-    if not (falls or rises):
-        raise NotMonotone("terminal function rises and falls")
-    mu = float(iv.mu_lower) if falls else float(iv.mu_upper)
-
-    def integrand(t: float) -> float:
-        return phi(t) * math.exp(-0.5 * (t - mu) ** 2) / math.sqrt(2.0 * math.pi)
-
-    points = [p for p in phi.breakpoints() if abs(p - mu) < 40.0]
-    lo, hi = mu - 40.0, mu + 40.0
-    value, _ = scipy.integrate.quad(
-        integrand, lo, hi, points=sorted(points) or None, limit=200,
-        epsabs=1e-11, epsrel=1e-11,
-    )
-    return float(value)

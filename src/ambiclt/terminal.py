@@ -95,10 +95,6 @@ class TerminalFunction:
         """True for a sharp indicator, which evaluates exactly."""
         return self.h == 0
 
-    def breakpoints(self) -> tuple[float, ...]:
-        """Kink/jump locations, for adaptive quadrature."""
-        return tuple(p for p in (self.a, self.b) if math.isfinite(p))
-
     # -- evaluation ---------------------------------------------------------
 
     def sample(self, x: np.ndarray) -> np.ndarray:

@@ -256,6 +256,17 @@ class TestErrorsAndExitCodes:
         record = json.loads(capsys.readouterr().err)
         assert record == {"error": "ValueError", "message": "n must be at least 1"}
 
+    @pytest.mark.parametrize("sizes, message", [
+        (["--n", "10", "--paths", "0"], "paths must be at least 1"),
+        (["--n", "0", "--paths", "10"], "n must be at least 1"),
+    ], ids=["zero-paths", "zero-n"])
+    def test_zero_hyptest_simulation_size_exits_3(self, capsys, sizes, message):
+        code = run_cli(["hyptest", "--kappa", "0.3", "--sigma", "0.9", "--alpha", "0.05",
+                        *sizes])
+        assert code == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "ValueError", "message": message}
+
     @pytest.mark.parametrize("route", [
         ["dp", "--n", "4"],
         ["dp", "--n-list", "4", "8", "--reference", "0.5"],

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from ambiclt import closed_form, pde
 from ambiclt.closed_form import (
     BadInterval,
     BadTime,
+    NotMonotone,
     indicator_limit_detail,
     lower_indicator_limit,
+    monotone_reduction,
     normal_cdf,
     one_sided_limit,
     reflected_density,
@@ -18,6 +21,8 @@ from ambiclt.closed_form import (
     upper_indicator_limit,
 )
 from ambiclt.measures import interval
+from ambiclt.terminal import TerminalFunction
+from test_pde import gauss_integral
 
 
 def series_cdf(x: float) -> float:
@@ -163,6 +168,70 @@ class TestOneSidedLimit:
         assert one_sided_limit(iv, 0.5, "left_tail", "lower") == normal_cdf(0.3, 0.5)
         up = one_sided_limit(iv, 0.5, "right_tail", "upper")
         assert up == pytest.approx(1.0 - normal_cdf(0.3, 0.5), abs=1e-14)
+
+
+class TestMonotoneReduction:
+    def test_left_indicator(self):
+        iv = interval(-0.3, 0.3)
+        got = monotone_reduction(TerminalFunction.left(0.5), iv)
+        assert got == pytest.approx(normal_cdf(-0.3, 0.5), abs=1e-9)
+
+    def test_constant(self):
+        # both endpoints infinite, sharp or smoothed: the cdf is read at +inf
+        payoffs = [TerminalFunction.indicator(-math.inf, math.inf)]
+        payoffs += [TerminalFunction.smoothed_indicator(-math.inf, math.inf, h)
+                    for h in (0.05, 1.0, 2.0)]
+        for phi in payoffs:
+            for lo, hi in ((-0.3, 0.3), (0.2, 1.7), (-2.5, -2.5)):
+                assert monotone_reduction(phi, interval(lo, hi)) == 1.0
+
+    def test_two_sided_rejected(self):
+        with pytest.raises(NotMonotone):
+            monotone_reduction(
+                TerminalFunction.smoothed_indicator(-1, 1, 0.05), interval(-0.3, 0.3)
+            )
+
+    @pytest.mark.parametrize("a, b", [("0.001", "0.002"), (40, 50)])
+    def test_two_finite_endpoints_rejected(self, a, b):
+        # both payoffs rise and fall, however narrow or far from the origin
+        with pytest.raises(NotMonotone):
+            monotone_reduction(TerminalFunction.indicator(a, b), interval(-0.3, 0.3))
+
+    def test_direction_from_the_infinite_endpoint(self):
+        iv = interval(-0.2, 0.5)
+        left = monotone_reduction(TerminalFunction.left(0.3), iv)
+        right = monotone_reduction(TerminalFunction.right(0.3), iv)
+        assert left == pytest.approx(normal_cdf(-0.2, 0.3), abs=1e-9)
+        assert right == pytest.approx(1.0 - normal_cdf(0.5, 0.3), abs=1e-9)
+        assert monotone_reduction(TerminalFunction.indicator(-math.inf, math.inf), iv) == 1.0
+
+    def test_sharp_payoffs_are_the_one_sided_limit(self):
+        # h = 0 divides by sqrt(1) = 1.0, so the value is the sharp limit's float
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            center, kappa, a, b = (float(v) for v in rng.uniform((-2, 0, -4, -4), (2, 1, 4, 4)))
+            iv = interval(center - kappa, center + kappa)
+            assert monotone_reduction(TerminalFunction.left(b), iv) == one_sided_limit(
+                iv, b, "left_tail", "upper")
+            assert monotone_reduction(TerminalFunction.right(a), iv) == one_sided_limit(
+                iv, a, "right_tail", "upper")
+
+    @pytest.mark.parametrize("h", [0.05, 0.3, 2.0])
+    def test_smoothed_payoffs_match_quadrature(self, h):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            center, kappa, end = (float(v) for v in rng.uniform((-1, 0, -3), (1, 0.6, 3)))
+            iv = interval(center - kappa, center + kappa)
+            falls = TerminalFunction.smoothed_indicator(-math.inf, end, h)
+            rises = TerminalFunction.smoothed_indicator(end, math.inf, h)
+            assert monotone_reduction(falls, iv) == pytest.approx(
+                gauss_integral(falls, iv.mu_lower), abs=1e-12)
+            assert monotone_reduction(rises, iv) == pytest.approx(
+                gauss_integral(rises, iv.mu_upper), abs=1e-12)
+
+    def test_pde_names_are_the_closed_form_ones(self):
+        assert pde.monotone_reduction is closed_form.monotone_reduction
+        assert pde.NotMonotone is closed_form.NotMonotone
 
 
 class TestShiftReduce:

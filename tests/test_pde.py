@@ -5,17 +5,15 @@ import pytest
 from scipy.integrate import quad
 
 from ambiclt import pde
-from ambiclt.closed_form import lower_indicator_limit, normal_cdf, upper_indicator_limit
+from ambiclt.closed_form import lower_indicator_limit, monotone_reduction, upper_indicator_limit
 from ambiclt.measures import interval
 from ambiclt.pde import (
     GeneratorSpec,
-    NotMonotone,
     OutOfDomain,
     PdeGrid,
     UnstableGrid,
     dpp_check,
     epsilon_extrapolate,
-    monotone_reduction,
     solve_g_expectation,
     solve_g_expectation_profile,
 )
@@ -27,9 +25,11 @@ EPS_SWEEP = [0.2, 0.1, 0.05, 0.025]
 
 
 def gauss_integral(phi: TerminalFunction, mu: float) -> float:
+    """E phi(mu + Z) by adaptive quadrature, split at the finite endpoints."""
     val, _ = quad(
         lambda t: phi(t) * math.exp(-0.5 * (t - mu) ** 2) / math.sqrt(2 * math.pi),
-        mu - 12, mu + 12, points=sorted(phi.breakpoints()) or None, limit=200,
+        mu - 12, mu + 12, points=[p for p in (phi.a, phi.b) if math.isfinite(p)] or None,
+        limit=200, epsabs=1e-13, epsrel=1e-13,
     )
     return val
 
@@ -328,35 +328,6 @@ class TestStructuralProperties:
 
 
 class TestMonotoneReduction:
-    def test_left_indicator(self):
-        iv = interval(-0.3, 0.3)
-        got = monotone_reduction(TerminalFunction.left(0.5), iv)
-        assert got == pytest.approx(normal_cdf(-0.3, 0.5), abs=1e-9)
-
-    def test_constant(self):
-        const = TerminalFunction.smoothed_indicator(-math.inf, math.inf, 1.0)
-        assert monotone_reduction(const, interval(-0.3, 0.3)) == pytest.approx(1.0)
-
-    def test_two_sided_rejected(self):
-        with pytest.raises(NotMonotone):
-            monotone_reduction(
-                TerminalFunction.smoothed_indicator(-1, 1, 0.05), interval(-0.3, 0.3)
-            )
-
-    @pytest.mark.parametrize("a, b", [("0.001", "0.002"), (40, 50)])
-    def test_two_finite_endpoints_rejected(self, a, b):
-        # both payoffs rise and fall, however narrow or far from the origin
-        with pytest.raises(NotMonotone):
-            monotone_reduction(TerminalFunction.indicator(a, b), interval(-0.3, 0.3))
-
-    def test_direction_from_the_infinite_endpoint(self):
-        iv = interval(-0.2, 0.5)
-        left = monotone_reduction(TerminalFunction.left(0.3), iv)
-        right = monotone_reduction(TerminalFunction.right(0.3), iv)
-        assert left == pytest.approx(normal_cdf(-0.2, 0.3), abs=1e-9)
-        assert right == pytest.approx(1.0 - normal_cdf(0.5, 0.3), abs=1e-9)
-        assert monotone_reduction(TerminalFunction.indicator(-math.inf, math.inf), iv) == 1.0
-
     def test_increasing_case_matches_solver(self):
         iv = interval(-0.3, 0.3)
         phi = TerminalFunction.smoothed_indicator(0.2, math.inf, 0.05)

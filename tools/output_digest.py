@@ -315,14 +315,6 @@ def oracle(digest):
                                 minimize=minimize)).encode())
 
 
-def _limit_detail(iv, a, b, side):
-    # a tree that still has the IndicatorLimit record passes the request as one
-    record = getattr(closed_form, "IndicatorLimit", None)
-    if record is not None:
-        return closed_form.indicator_limit_detail(record(iv, a, b, side))
-    return closed_form.indicator_limit_detail(iv, a, b, side)
-
-
 def closed_form_cases():
     """(request, answer) reprs of the closed-form digest, one pair per case."""
     rng = np.random.default_rng(13)
@@ -346,7 +338,8 @@ def closed_form_cases():
     for lo, hi, a, b in requests:
         iv = interval(lo, hi)
         for side in ("upper", "lower"):
-            out.append((repr((lo, hi, a, b, side)), repr(_limit_detail(iv, a, b, side))))
+            detail = closed_form.indicator_limit_detail(iv, a, b, side)
+            out.append((repr((lo, hi, a, b, side)), repr(detail)))
     payoffs = (TerminalFunction.left(0.5), TerminalFunction.right("-1/3"),
                TerminalFunction.smoothed_indicator(-math.inf, 0.5, 0.1),
                TerminalFunction.smoothed_indicator(-0.2, math.inf, 0.05),
